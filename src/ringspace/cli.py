@@ -2,7 +2,8 @@
 
 One JSON document per invocation on stdout (or an aligned text table with
 --output table); diagnostics go to stderr.  Exit codes: 0 success, 1 domain
-error, 2 usage error, 3 verification mismatch.
+error, 2 usage error (including a negative dimension), 3 verification
+mismatch.
 """
 
 from __future__ import annotations
@@ -10,23 +11,16 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import counting, serialize
+from . import counting, geometry, serialize
 from .errors import DomainError, PayloadError, RingParseError
-from .geometry import (
-    PointSet,
-    extend_arc,
-    extend_cap,
-    is_arc,
-    is_cap,
-    is_complete_arc,
-    is_complete_cap,
-    max_arc_size_formula,
-    max_cap_size_formula,
-    search_max_arc,
-    search_max_cap,
-)
+from .geometry import PointSet
 from .matrix import completion, gl_inverse, mccoy_rank, right_inverse
-from .oracle import DEFAULT_BUDGET, enumerate_subspaces, verify_counts
+from .oracle import (
+    DEFAULT_BUDGET,
+    enumerate_mt_subspaces,
+    enumerate_subspaces,
+    verify_counts,
+)
 from .ring import Ring, parse_ring
 from .singular import SingularSpace, canonical_mt_transform, type_of
 from .subspace import (
@@ -70,6 +64,10 @@ def _budget(args, fallback: int) -> int:
 
 
 # -- command handlers ----------------------------------------------------------
+#
+# Library functions are looked up when a handler runs, never stored in the
+# command table, so rebinding a module attribute (a mock, a tracer) takes
+# effect for the CLI too.
 
 
 def _cmd_ring_info(args):
@@ -80,10 +78,10 @@ def _cmd_ring_info(args):
             {"prime": c.prime, "exponent": c.exponent, "order": c.order}
             for c in ring.components
         ],
-        "order": serialize.count_str(ring.order),
-        "units": serialize.count_str(ring.unit_count),
+        "order": str(ring.order),
+        "units": str(ring.unit_count),
         "coprime": ring.is_coprime,
-        "gl2": serialize.count_str(counting.count_gl(2, ring)),
+        "gl2": str(counting.count_gl(2, ring)),
     }, 0
 
 
@@ -111,14 +109,9 @@ def _cmd_subspace_canon(args):
 
 
 def _linear_subset_payload(l):
-    try:
-        canonical = serialize.subspace_to_json(as_subspace(l))
-        free = True
-    except DomainError:
-        canonical = None
-        free = False
+    free = l.is_free
     out = serialize.linear_subset_to_json(l, free)
-    out["canonical"] = canonical
+    out["canonical"] = serialize.subspace_to_json(as_subspace(l)) if free else None
     return out
 
 
@@ -156,54 +149,19 @@ def _cmd_subspace_dimcheck(args):
     return out, 0
 
 
-def _count_payload(value: int):
-    return {"count": serialize.count_str(value)}, 0
+def _count(function: str, params: str, flags: str | None = None):
+    """Handler and dimension arguments of a closed-form count command.
 
+    ``params`` orders the dimensions as ``counting.<function>`` takes them,
+    before the ring; ``flags`` orders the options, when that differs.
+    """
+    names = params.split()
 
-def _cmd_count_subspaces(args):
-    return _count_payload(counting.count_subspaces(args.m, args.n, _ring(args)))
+    def handler(args):
+        fn = getattr(counting, function)
+        return {"count": str(fn(*(getattr(args, n) for n in names), _ring(args)))}, 0
 
-
-def _cmd_count_in(args):
-    return _count_payload(
-        counting.count_subspaces_in(args.m1, args.m, args.n, _ring(args))
-    )
-
-
-def _cmd_count_over(args):
-    return _count_payload(
-        counting.count_subspaces_over(args.m1, args.m, args.n, _ring(args))
-    )
-
-
-def _cmd_count_fullrank(args):
-    return _count_payload(counting.count_full_rank(args.m, args.n, _ring(args)))
-
-
-def _cmd_count_gl(args):
-    return _count_payload(counting.count_gl(args.n, _ring(args)))
-
-
-def _cmd_count_mt(args):
-    return _count_payload(
-        counting.count_mt_subspaces(args.m, args.t, args.n, args.k, _ring(args))
-    )
-
-
-def _cmd_count_mt_in(args):
-    return _count_payload(
-        counting.count_mt_in(
-            args.m1, args.t1, args.m, args.t, args.n, args.k, _ring(args)
-        )
-    )
-
-
-def _cmd_count_mt_over(args):
-    return _count_payload(
-        counting.count_mt_over(
-            args.m1, args.t1, args.m, args.t, args.n, args.k, _ring(args)
-        )
-    )
+    return handler, _dims(flags or params)
 
 
 def _cmd_singular_type(args):
@@ -222,28 +180,18 @@ def _cmd_singular_canon(args):
     }, 0
 
 
-def _cmd_singular_count(args):
-    return _count_payload(
-        counting.count_mt_subspaces(args.m, args.t, args.n, args.k, _ring(args))
-    )
-
-
 def _cmd_singular_enumerate(args):
     ring = _ring(args)
-    space = SingularSpace(ring, args.n, args.k)
     budget = _budget(args, DEFAULT_BUDGET)
     if (args.m is None) != (args.t is None):
         raise PayloadError("give both -m and -t, or neither")
     if args.m is not None:
-        found = []
-        for sub in enumerate_subspaces(args.m, space.ambient, ring, budget):
-            tp = type_of(sub, space)
-            if tp.typed and tp.type == (args.m, args.t):
-                found.append(sub)
+        found = enumerate_mt_subspaces(args.m, args.t, args.n, args.k, ring, budget)
         return {
-            "count": serialize.count_str(len(found)),
+            "count": str(len(found)),
             "subspaces": [serialize.subspace_to_json(s) for s in found],
         }, 0
+    space = SingularSpace(ring, args.n, args.k)
     census: dict[tuple[int, int], int] = {}
     untyped = 0
     for m in range(space.ambient + 1):
@@ -255,65 +203,47 @@ def _cmd_singular_enumerate(args):
                 untyped += 1
     return {
         "census": [
-            {"m": m, "t": t, "count": serialize.count_str(c)}
+            {"m": m, "t": t, "count": str(c)}
             for (m, t), c in sorted(census.items())
         ],
-        "untyped": serialize.count_str(untyped),
+        "untyped": str(untyped),
     }, 0
 
 
-def _cmd_arc_check(args):
-    return {"arc": is_arc(_point_set(args))}, 0
+# The arc and cap groups share these handlers; the group name picks the
+# geometry function, e.g. ``is_complete_arc`` for ``arc complete``.
 
 
-def _cmd_cap_check(args):
-    return {"cap": is_cap(_point_set(args))}, 0
+def _kind_fn(args, template: str):
+    return getattr(geometry, template.format(args.group))
 
 
-def _cmd_arc_complete(args):
+def _cmd_check(args):
+    return {args.group: _kind_fn(args, "is_{}")(_point_set(args))}, 0
+
+
+def _cmd_complete(args):
     budget = _budget(args, DEFAULT_BUDGET)
-    return {"complete": is_complete_arc(_point_set(args), budget)}, 0
+    return {"complete": _kind_fn(args, "is_complete_{}")(_point_set(args), budget)}, 0
 
 
-def _cmd_cap_complete(args):
+def _cmd_extend(args):
     budget = _budget(args, DEFAULT_BUDGET)
-    return {"complete": is_complete_cap(_point_set(args), budget)}, 0
-
-
-def _cmd_arc_extend(args):
-    budget = _budget(args, DEFAULT_BUDGET)
-    pts = extend_arc(_point_set(args), budget)
+    pts = _kind_fn(args, "extend_{}")(_point_set(args), budget)
     return {"extensions": serialize.pointset_to_json(pts)}, 0
 
 
-def _cmd_cap_extend(args):
-    budget = _budget(args, DEFAULT_BUDGET)
-    pts = extend_cap(_point_set(args), budget)
-    return {"extensions": serialize.pointset_to_json(pts)}, 0
-
-
-def _cmd_arc_search(args):
-    ps = search_max_arc(args.n, _ring(args), _budget(args, SEARCH_BUDGET))
+def _cmd_search(args):
+    search = _kind_fn(args, "search_max_{}")
+    ps = search(args.n, _ring(args), _budget(args, SEARCH_BUDGET))
     return {
         "size": len(ps.points),
         "points": serialize.pointset_to_json(ps.points),
     }, 0
 
 
-def _cmd_cap_search(args):
-    ps = search_max_cap(args.n, _ring(args), _budget(args, SEARCH_BUDGET))
-    return {
-        "size": len(ps.points),
-        "points": serialize.pointset_to_json(ps.points),
-    }, 0
-
-
-def _cmd_arc_max(args):
-    return {"size": max_arc_size_formula(args.n, _ring(args))}, 0
-
-
-def _cmd_cap_max(args):
-    return {"size": max_cap_size_formula(args.n, _ring(args))}, 0
+def _cmd_max(args):
+    return {"size": _kind_fn(args, "max_{}_size_formula")(args.n, _ring(args))}, 0
 
 
 def _cmd_verify(args):
@@ -326,8 +256,8 @@ def _cmd_verify(args):
         "reports": [
             {
                 "query": r.query,
-                "formula": serialize.count_str(r.formula_value),
-                "enumerated": serialize.count_str(r.enumerated_value),
+                "formula": str(r.formula_value),
+                "enumerated": str(r.enumerated_value),
                 "match": r.match,
             }
             for r in reports
@@ -336,17 +266,110 @@ def _cmd_verify(args):
     return payload, (3 if mismatches else 0)
 
 
-# -- parser ---------------------------------------------------------------------
+# -- command table --------------------------------------------------------------
 
 
-def _add_common(p, ring=True, budget=False):
-    if ring:
-        p.add_argument("--ring", required=True, help="ring spec, e.g. Z4 or Z2xZ9")
-    p.add_argument(
-        "--output", choices=["json", "table"], default="json", help="output format"
+def dimension(text: str) -> int:
+    """argparse type of every dimension option: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _dims(names: str, required: bool = True):
+    """Dimension options: ``m1`` becomes ``--m1``, ``n`` becomes ``-n``."""
+    kwargs = {"type": dimension, "required": required}
+    return tuple(
+        (f"--{name}" if len(name) > 1 else f"-{name}", kwargs) for name in names.split()
     )
-    if budget:
-        p.add_argument("--budget", type=int, default=None, help="node budget")
+
+
+_RING = ("--ring", {"required": True, "help": "ring spec, e.g. Z4 or Z2xZ9"})
+_OUTPUT = (
+    "--output",
+    {"choices": ["json", "table"], "default": "json", "help": "output format"},
+)
+_BUDGET = ("--budget", {"type": int, "default": None, "help": "node budget"})
+_MATRIX = (("--matrix", {"required": True, "help": "JSON rows or @file"}),)
+_ROWS = (("--matrix", {"required": True, "help": "generating rows"}),)
+_PAIR = (
+    ("--a", {"required": True, "help": "first subspace rows"}),
+    ("--b", {"required": True, "help": "second subspace rows"}),
+)
+_TYPED = _dims("n k") + (("--matrix", {"required": True}),)
+_MT_NESTED = "m1 t1 m t n k"
+_POINTS = (
+    _BUDGET,
+    ("--points", {"required": True, "help": "JSON point rows or @file"}),
+    ("-n", {"type": dimension, "default": None, "help": "ambient dimension"}),
+)
+_GEOMETRY = [
+    ("check", "check a point set", _cmd_check, _POINTS),
+    ("complete", "complete a point set", _cmd_complete, _POINTS),
+    ("extend", "extend a point set", _cmd_extend, _POINTS),
+    ("search", "exhaustive maximum search", _cmd_search, (_BUDGET, *_dims("n"))),
+    ("max", "known maximum size, null when unknown", _cmd_max, _dims("n")),
+]
+
+# group -> (help, [(command, help, handler, options after --ring and --output)])
+COMMANDS = {
+    "ring": ("ring inspection", [
+        ("info", "components, order, units, |GL_2|", _cmd_ring_info, ()),
+    ]),
+    "matrix": ("matrix operations", [
+        ("rank", "McCoy rank", _cmd_matrix_rank, _MATRIX),
+        ("complete", "S with A*S = (I|0)", _cmd_matrix_complete, _MATRIX),
+        ("invert", "inverse of a square matrix", _cmd_matrix_invert, _MATRIX),
+        ("right-inverse", "B with A*B = I", _cmd_matrix_right_inverse, _MATRIX),
+    ]),
+    "subspace": ("subspace operations", [
+        ("canon", "canonical form of a free subspace", _cmd_subspace_canon, _ROWS),
+        ("dual", "orthogonal dual subspace", _cmd_subspace_dual, _ROWS),
+        ("meet", "intersection (may not be free)", _cmd_subspace_meet, _PAIR),
+        ("join", "sum (may not be free)", _cmd_subspace_join, _PAIR),
+        ("dimcheck", "dimension formula status", _cmd_subspace_dimcheck, _PAIR),
+    ]),
+    "count": ("closed-form counts", [
+        ("subspaces", "free m-subspaces of R^n", *_count("count_subspaces", "m n")),
+        (
+            "in", "m1-subspaces inside a fixed m-subspace",
+            *_count("count_subspaces_in", "m1 m n"),
+        ),
+        (
+            "over", "m-subspaces containing a fixed m1-subspace",
+            *_count("count_subspaces_over", "m1 m n"),
+        ),
+        (
+            "fullrank", "full McCoy rank m x n matrices",
+            *_count("count_full_rank", "m n"),
+        ),
+        ("gl", "order of GL_n(R)", *_count("count_gl", "n")),
+        (
+            "mt", "(m,t)-subspaces of a singular space",
+            *_count("count_mt_subspaces", "m t n k"),
+        ),
+        ("mt-in", "nested (m,t) count: mt-in", *_count("count_mt_in", _MT_NESTED)),
+        ("mt-over", "nested (m,t) count: mt-over", *_count("count_mt_over", _MT_NESTED)),
+    ]),
+    "singular": ("singular space operations", [
+        ("type", "(m, t) type of a subspace", _cmd_singular_type, _TYPED),
+        (
+            "canon", "group element to the canonical (m, t)-subspace",
+            _cmd_singular_canon, _TYPED,
+        ),
+        (
+            "count", "closed-form (m, t)-subspace count",
+            *_count("count_mt_subspaces", "m t n k", "n k m t"),
+        ),
+        (
+            "enumerate", "census or list by brute force", _cmd_singular_enumerate,
+            (_BUDGET, *_dims("n k"), *_dims("m t", required=False)),
+        ),
+    ]),
+    "arc": ("arc operations", _GEOMETRY),
+    "cap": ("cap operations", _GEOMETRY),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -355,168 +378,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact linear algebra and finite geometry over Z_{p^s} products.",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    g_ring = top.add_parser("ring", help="ring inspection").add_subparsers(
-        dest="command", required=True
-    )
-    p = g_ring.add_parser("info", help="components, order, units, |GL_2|")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ring_info)
-
-    g_mat = top.add_parser("matrix", help="matrix operations").add_subparsers(
-        dest="command", required=True
-    )
-    for name, handler, hlp in [
-        ("rank", _cmd_matrix_rank, "McCoy rank"),
-        ("complete", _cmd_matrix_complete, "S with A*S = (I|0)"),
-        ("invert", _cmd_matrix_invert, "inverse of a square matrix"),
-        ("right-inverse", _cmd_matrix_right_inverse, "B with A*B = I"),
-    ]:
-        p = g_mat.add_parser(name, help=hlp)
-        _add_common(p)
-        p.add_argument("--matrix", required=True, help="JSON rows or @file")
-        p.set_defaults(handler=handler)
-
-    g_sub = top.add_parser("subspace", help="subspace operations").add_subparsers(
-        dest="command", required=True
-    )
-    for name, handler, hlp in [
-        ("canon", _cmd_subspace_canon, "canonical form of a free subspace"),
-        ("dual", _cmd_subspace_dual, "orthogonal dual subspace"),
-    ]:
-        p = g_sub.add_parser(name, help=hlp)
-        _add_common(p)
-        p.add_argument("--matrix", required=True, help="generating rows")
-        p.set_defaults(handler=handler)
-    for name, handler, hlp in [
-        ("meet", _cmd_subspace_meet, "intersection (may not be free)"),
-        ("join", _cmd_subspace_join, "sum (may not be free)"),
-        ("dimcheck", _cmd_subspace_dimcheck, "dimension formula status"),
-    ]:
-        p = g_sub.add_parser(name, help=hlp)
-        _add_common(p)
-        p.add_argument("--a", required=True, help="first subspace rows")
-        p.add_argument("--b", required=True, help="second subspace rows")
-        p.set_defaults(handler=handler)
-
-    g_cnt = top.add_parser("count", help="closed-form counts").add_subparsers(
-        dest="command", required=True
-    )
-    p = g_cnt.add_parser("subspaces", help="free m-subspaces of R^n")
-    _add_common(p)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_count_subspaces)
-    for name, handler, hlp in [
-        ("in", _cmd_count_in, "m1-subspaces inside a fixed m-subspace"),
-        ("over", _cmd_count_over, "m-subspaces containing a fixed m1-subspace"),
-    ]:
-        p = g_cnt.add_parser(name, help=hlp)
-        _add_common(p)
-        p.add_argument("--m1", type=int, required=True)
-        p.add_argument("-m", type=int, required=True)
-        p.add_argument("-n", type=int, required=True)
-        p.set_defaults(handler=handler)
-    p = g_cnt.add_parser("fullrank", help="full McCoy rank m x n matrices")
-    _add_common(p)
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_count_fullrank)
-    p = g_cnt.add_parser("gl", help="order of GL_n(R)")
-    _add_common(p)
-    p.add_argument("-n", type=int, required=True)
-    p.set_defaults(handler=_cmd_count_gl)
-    p = g_cnt.add_parser("mt", help="(m,t)-subspaces of a singular space")
-    _add_common(p)
-    for flag in ["-m", "-t", "-n", "-k"]:
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(handler=_cmd_count_mt)
-    for name, handler in [("mt-in", _cmd_count_mt_in), ("mt-over", _cmd_count_mt_over)]:
-        p = g_cnt.add_parser(name, help=f"nested (m,t) count: {name}")
-        _add_common(p)
-        p.add_argument("--m1", type=int, required=True)
-        p.add_argument("--t1", type=int, required=True)
-        for flag in ["-m", "-t", "-n", "-k"]:
-            p.add_argument(flag, type=int, required=True)
-        p.set_defaults(handler=handler)
-
-    g_sing = top.add_parser("singular", help="singular space operations").add_subparsers(
-        dest="command", required=True
-    )
-    p = g_sing.add_parser("type", help="(m, t) type of a subspace")
-    _add_common(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=_cmd_singular_type)
-    p = g_sing.add_parser("canon", help="group element to the canonical (m, t)-subspace")
-    _add_common(p)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("--matrix", required=True)
-    p.set_defaults(handler=_cmd_singular_canon)
-    p = g_sing.add_parser("count", help="closed-form (m, t)-subspace count")
-    _add_common(p)
-    for flag in ["-n", "-k", "-m", "-t"]:
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(handler=_cmd_singular_count)
-    p = g_sing.add_parser("enumerate", help="census or list by brute force")
-    _add_common(p, budget=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-t", type=int, default=None)
-    p.set_defaults(handler=_cmd_singular_enumerate)
-
-    for kind, handlers in [
-        (
-            "arc",
-            {
-                "check": _cmd_arc_check,
-                "complete": _cmd_arc_complete,
-                "extend": _cmd_arc_extend,
-                "search": _cmd_arc_search,
-                "max": _cmd_arc_max,
-            },
-        ),
-        (
-            "cap",
-            {
-                "check": _cmd_cap_check,
-                "complete": _cmd_cap_complete,
-                "extend": _cmd_cap_extend,
-                "search": _cmd_cap_search,
-                "max": _cmd_cap_max,
-            },
-        ),
-    ]:
-        g = top.add_parser(kind, help=f"{kind} operations").add_subparsers(
+    for group, (group_help, commands) in COMMANDS.items():
+        sub = top.add_parser(group, help=group_help).add_subparsers(
             dest="command", required=True
         )
-        for name in ["check", "complete", "extend"]:
-            p = g.add_parser(name, help=f"{name} a point set")
-            _add_common(p, budget=True)
-            p.add_argument("--points", required=True, help="JSON point rows or @file")
-            p.add_argument("-n", type=int, default=None, help="ambient dimension")
-            p.set_defaults(handler=handlers[name])
-        p = g.add_parser("search", help="exhaustive maximum search")
-        _add_common(p, budget=True)
-        p.add_argument("-n", type=int, required=True)
-        p.set_defaults(handler=handlers["search"])
-        p = g.add_parser("max", help="known maximum size, null when unknown")
-        _add_common(p)
-        p.add_argument("-n", type=int, required=True)
-        p.set_defaults(handler=handlers["max"])
-
+        for command, hlp, handler, options in commands:
+            p = sub.add_parser(command, help=hlp)
+            for flag, kwargs in (_RING, _OUTPUT, *options):
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     p = top.add_parser("verify", help="formula vs enumeration suites")
-    _add_common(p, ring=False)
+    p.add_argument(_OUTPUT[0], **_OUTPUT[1])
     p.add_argument(
         "--suite",
         choices=["default", "counts", "geometry", "algebra"],
         default="default",
     )
     p.set_defaults(handler=_cmd_verify)
-
     return parser
 
 

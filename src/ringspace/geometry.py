@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import zps
 from .errors import (
@@ -63,9 +63,6 @@ class PointSet:
         ambient = pts[0].ambient if pts else 0
         return cls.of(ring, ambient, pts)
 
-    def with_point(self, p: Subspace) -> "PointSet":
-        return PointSet.of(self.ring, self.ambient, self.points + (p,))
-
     def __len__(self) -> int:
         return len(self.points)
 
@@ -78,32 +75,54 @@ def _stack_has_rank(points: Sequence[Subspace], ring: Ring, n: int, want: int) -
     return True
 
 
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    """What tells arcs from caps; the algorithms below are shared."""
+
+    name: str
+    article: str
+    min_ambient: int
+    fixed_size: int | None  # points that must be independent; None means n
+    error: type[DomainError]
+
+    def size(self, n: int) -> int:
+        return n if self.fixed_size is None else self.fixed_size
+
+    def check_ambient(self, n: int) -> None:
+        if n < self.min_ambient:
+            raise ShapeMismatchError(
+                f"{self.name}s need ambient dimension >= {self.min_ambient}"
+            )
+
+    def require(self, member: bool) -> None:
+        if not member:
+            raise self.error(f"input is not {self.article} {self.name}")
+
+
+_ARC = _Kind("arc", "an", 2, None, NotAnArcError)
+_CAP = _Kind("cap", "a", 3, 3, NotACapError)
+
+
+def _in_general_position(ps: PointSet, kind: _Kind) -> bool:
+    kind.check_ambient(ps.ambient)
+    k = kind.size(ps.ambient)
+    pts = ps.points
+    if len(pts) < k:
+        return _stack_has_rank(pts, ps.ring, ps.ambient, len(pts))
+    return all(
+        _stack_has_rank(subset, ps.ring, ps.ambient, k)
+        for subset in itertools.combinations(pts, k)
+    )
+
+
 def is_arc(ps: PointSet) -> bool:
     """Every n points span R^n; smaller sets must be in general position."""
-    n = ps.ambient
-    if n < 2:
-        raise ShapeMismatchError("arcs need ambient dimension >= 2")
-    pts = ps.points
-    if len(pts) < n:
-        return _stack_has_rank(pts, ps.ring, n, len(pts))
-    return all(
-        _stack_has_rank(subset, ps.ring, n, n)
-        for subset in itertools.combinations(pts, n)
-    )
+    return _in_general_position(ps, _ARC)
 
 
 def is_cap(ps: PointSet) -> bool:
     """Every 3 points span a free 3-subspace; needs ambient dimension >= 3."""
-    n = ps.ambient
-    if n < 3:
-        raise ShapeMismatchError("caps need ambient dimension >= 3")
-    pts = ps.points
-    if len(pts) < 3:
-        return _stack_has_rank(pts, ps.ring, n, len(pts))
-    return all(
-        _stack_has_rank(subset, ps.ring, n, 3)
-        for subset in itertools.combinations(pts, 3)
-    )
+    return _in_general_position(ps, _CAP)
 
 
 def project_point_set(ps: PointSet, i: int) -> PointSet:
@@ -126,63 +145,55 @@ def project_point_set(ps: PointSet, i: int) -> PointSet:
     return PointSet.of(field, ps.ambient, out.values())
 
 
-def _extension_points(
-    ps: PointSet, admissible, budget: int
-) -> list[Subspace]:
-    """Points whose addition keeps the configuration admissible."""
+def _admits(ps: PointSet, cand: Subspace, k: int) -> bool:
+    """Adding cand keeps every k points (all, when fewer) in general position."""
+    pts = ps.points
+    if len(pts) + 1 <= k:
+        return _stack_has_rank(pts + (cand,), ps.ring, ps.ambient, len(pts) + 1)
+    return all(
+        _stack_has_rank(subset + (cand,), ps.ring, ps.ambient, k)
+        for subset in itertools.combinations(pts, k - 1)
+    )
+
+
+def _extensions(ps: PointSet, k: int, budget: int) -> Iterator[Subspace]:
+    """Points, in canonical order, whose addition keeps the set admissible."""
     existing = {p.canons for p in ps.points}
-    out = []
     for cand in enumerate_points(ps.ambient, ps.ring, budget):
-        if cand.canons in existing:
-            continue
-        if admissible(ps, cand):
-            out.append(cand)
-    return out
+        if cand.canons not in existing and _admits(ps, cand, k):
+            yield cand
 
 
-def _arc_admits(ps: PointSet, cand: Subspace) -> bool:
-    n = ps.ambient
-    pts = ps.points
-    if len(pts) + 1 <= n:
-        return _stack_has_rank(pts + (cand,), ps.ring, n, len(pts) + 1)
-    return all(
-        _stack_has_rank(subset + (cand,), ps.ring, n, n)
-        for subset in itertools.combinations(pts, n - 1)
+# _extend, _is_complete and _search_max take the public is_arc / is_cap as an
+# argument, looked up when the public function runs, so rebinding the module
+# attribute (a mock, a tracer) reaches every caller.
+
+
+def _extend(ps: PointSet, kind: _Kind, is_kind, budget: int) -> list[Subspace]:
+    kind.require(is_kind(ps))
+    return list(_extensions(ps, kind.size(ps.ambient), budget))
+
+
+def _is_complete(ps: PointSet, kind: _Kind, is_kind, budget: int) -> bool:
+    kind.require(is_kind(ps))
+    k = kind.size(ps.ambient)
+    direct = not any(_extensions(ps, k, budget))
+    by_projection = any(
+        not any(_extensions(project_point_set(ps, i), k, budget))
+        for i in range(ps.ring.ell)
     )
-
-
-def _cap_admits(ps: PointSet, cand: Subspace) -> bool:
-    n = ps.ambient
-    pts = ps.points
-    if len(pts) + 1 <= 3:
-        return _stack_has_rank(pts + (cand,), ps.ring, n, len(pts) + 1)
-    return all(
-        _stack_has_rank(pair + (cand,), ps.ring, n, 3)
-        for pair in itertools.combinations(pts, 2)
-    )
+    if direct != by_projection:
+        raise AssertionError("completeness criteria disagree; this is a bug")
+    return direct
 
 
 def extend_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     """All points that extend the arc, in canonical order."""
-    if not is_arc(ps):
-        raise NotAnArcError("input is not an arc")
-    return _extension_points(ps, _arc_admits, budget)
+    return _extend(ps, _ARC, is_arc, budget)
 
 
 def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    if not is_cap(ps):
-        raise NotACapError("input is not a cap")
-    return _extension_points(ps, _cap_admits, budget)
-
-
-def _complete_direct(ps: PointSet, admissible, budget: int) -> bool:
-    existing = {p.canons for p in ps.points}
-    for cand in enumerate_points(ps.ambient, ps.ring, budget):
-        if cand.canons in existing:
-            continue
-        if admissible(ps, cand):
-            return False
-    return True
+    return _extend(ps, _CAP, is_cap, budget)
 
 
 def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
@@ -192,29 +203,11 @@ def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
     iff some residue-field image is complete); the two answers are required
     to agree.
     """
-    if not is_arc(ps):
-        raise NotAnArcError("input is not an arc")
-    direct = _complete_direct(ps, _arc_admits, budget)
-    by_projection = any(
-        _complete_direct(project_point_set(ps, i), _arc_admits, budget)
-        for i in range(ps.ring.ell)
-    )
-    if direct != by_projection:
-        raise AssertionError("completeness criteria disagree; this is a bug")
-    return direct
+    return _is_complete(ps, _ARC, is_arc, budget)
 
 
 def is_complete_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
-    if not is_cap(ps):
-        raise NotACapError("input is not a cap")
-    direct = _complete_direct(ps, _cap_admits, budget)
-    by_projection = any(
-        _complete_direct(project_point_set(ps, i), _cap_admits, budget)
-        for i in range(ps.ring.ell)
-    )
-    if direct != by_projection:
-        raise AssertionError("completeness criteria disagree; this is a bug")
-    return direct
+    return _is_complete(ps, _CAP, is_cap, budget)
 
 
 # -- known maximum sizes -------------------------------------------------------
@@ -253,43 +246,40 @@ def _field_cap_rows(n: int, qs: Sequence[int]) -> list[int]:
     return vals
 
 
+def _max_size(n: int, ring: Ring, kind: _Kind, table_rows) -> int | None:
+    kind.check_ambient(n)
+    vals = table_rows(n, [c.prime for c in ring.components])
+    if not vals:
+        return None
+    assert len(set(vals)) == 1, "table rows must agree where they overlap"
+    return vals[0]
+
+
 def max_arc_size_formula(n: int, ring: Ring) -> int | None:
     """Known maximum arc size in R^n, or None outside the table's validity.
 
     The size over R is the minimum of the residue-field values; each table
     row applies only under its stated condition on all component fields.
     """
-    if n < 2:
-        raise ShapeMismatchError("arcs need ambient dimension >= 2")
-    vals = _field_arc_rows(n, [c.prime for c in ring.components])
-    if not vals:
-        return None
-    assert len(set(vals)) == 1, "table rows must agree where they overlap"
-    return vals[0]
+    return _max_size(n, ring, _ARC, _field_arc_rows)
 
 
 def max_cap_size_formula(n: int, ring: Ring) -> int | None:
     """Known maximum cap size in R^n, or None outside the table's validity."""
-    if n < 3:
-        raise ShapeMismatchError("caps need ambient dimension >= 3")
-    vals = _field_cap_rows(n, [c.prime for c in ring.components])
-    if not vals:
-        return None
-    assert len(set(vals)) == 1, "table rows must agree where they overlap"
-    return vals[0]
+    return _max_size(n, ring, _CAP, _field_cap_rows)
 
 
 # -- exact search ----------------------------------------------------------------
 
 
-def _point(ring: Ring, row: Sequence[int]) -> Subspace:
-    return Subspace.from_matrix(Matrix.from_entries(ring, [list(row)]))
+def _unit_rows(count: int, n: int) -> list[list[int]]:
+    return [[1 if j == i else 0 for j in range(n)] for i in range(count)]
 
 
 def _search(
     base: list[Subspace],
     candidates: list[Subspace],
-    admissible,
+    k: int,
     ring: Ring,
     n: int,
     budget: int,
@@ -311,12 +301,29 @@ def _search(
             best = list(current)
         for i, cand in enumerate(cands):
             ps = PointSet(ring, n, tuple(current))
-            if admissible(ps, cand):
+            if _admits(ps, cand, k):
                 rest = cands[i + 1 :]
                 dfs(current + [cand], rest)
 
     dfs(base, candidates)
     return best
+
+
+def _search_max(
+    base_rows: list[list[int]], n: int, ring: Ring, kind: _Kind, is_kind, budget: int
+) -> PointSet:
+    base = [Subspace.from_matrix(Matrix.from_entries(ring, [row])) for row in base_rows]
+    base_set = PointSet.of(ring, n, base)
+    assert is_kind(base_set)
+    k = kind.size(n)
+    pinned = {p.canons for p in base}
+    candidates = [
+        c
+        for c in enumerate_points(n, ring, budget)
+        if c.canons not in pinned and _admits(base_set, c, k)
+    ]
+    best = _search(list(base_set.points), candidates, k, ring, n, budget)
+    return PointSet.of(ring, n, best)
 
 
 def search_max_arc(
@@ -330,23 +337,8 @@ def search_max_arc(
     only chooses the remaining points.  The result is therefore a true
     maximum, not a heuristic.
     """
-    if n < 2:
-        raise ShapeMismatchError("arcs need ambient dimension >= 2")
-    frame = [
-        _point(ring, [1 if j == i else 0 for j in range(n)]) for i in range(n)
-    ]
-    ones = _point(ring, [1] * n)
-    base = frame + [ones]
-    base_set = PointSet.of(ring, n, base)
-    assert is_arc(base_set)
-    pinned = {p.canons for p in base}
-    candidates = [
-        c
-        for c in enumerate_points(n, ring, budget)
-        if c.canons not in pinned and _arc_admits(base_set, c)
-    ]
-    best = _search(list(base_set.points), candidates, _arc_admits, ring, n, budget)
-    return PointSet.of(ring, n, best)
+    _ARC.check_ambient(n)
+    return _search_max(_unit_rows(n, n) + [[1] * n], n, ring, _ARC, is_arc, budget)
 
 
 def search_max_cap(
@@ -358,18 +350,5 @@ def search_max_cap(
     first three coordinate points, and {e1, e2, e3} is itself a cap, so
     pinning them preserves the maximum size.
     """
-    if n < 3:
-        raise ShapeMismatchError("caps need ambient dimension >= 3")
-    base = [
-        _point(ring, [1 if j == i else 0 for j in range(n)]) for i in range(3)
-    ]
-    base_set = PointSet.of(ring, n, base)
-    assert is_cap(base_set)
-    pinned = {p.canons for p in base}
-    candidates = [
-        c
-        for c in enumerate_points(n, ring, budget)
-        if c.canons not in pinned and _cap_admits(base_set, c)
-    ]
-    best = _search(list(base_set.points), candidates, _cap_admits, ring, n, budget)
-    return PointSet.of(ring, n, best)
+    _CAP.check_ambient(n)
+    return _search_max(_unit_rows(3, n), n, ring, _CAP, is_cap, budget)

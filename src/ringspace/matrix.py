@@ -7,51 +7,27 @@ reassembled into Element tuples on demand.
 The rank used throughout is the McCoy rank: the largest k such that the
 ideal of k x k minors has trivial annihilator.  Over Z_{p^s} it equals the
 rank of the matrix reduced mod p, and over a product it is the minimum over
-components; ``mccoy_rank`` uses that reduction while ``mccoy_rank_oracle``
-checks the definition literally (all minors, all annihilator candidates).
+components; ``mccoy_rank`` uses that reduction, and
+``oracle.mccoy_rank_oracle`` checks the definition literally (all minors, all
+annihilator candidates).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import zps
 from .errors import (
-    BudgetExceededError,
     NotFullRankError,
     NotInvertibleError,
     RingMismatchError,
     RingParseError,
     ShapeMismatchError,
 )
-from .ring import Element, LocalRing, Ring
+from .ring import Element, Ring
 
 Rows = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class ComponentMatrix:
-    """Integer matrix over one local component Z_{p^s}."""
-
-    local: LocalRing
-    rows: int
-    cols: int
-    entries: Rows
-
-    def rank_residue(self) -> int:
-        return zps.rank_mod_p(self.entries, self.cols, self.local.prime)
-
-    def howell_form(self) -> "ComponentMatrix":
-        h = zps.howell(self.entries, self.cols, self.local.prime, self.local.exponent)
-        return ComponentMatrix(self.local, len(h), self.cols, h)
-
-    def left_kernel(self) -> "ComponentMatrix":
-        k = zps.left_kernel(
-            self.entries, self.cols, self.local.prime, self.local.exponent
-        )
-        return ComponentMatrix(self.local, len(k), self.rows, k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,23 +81,8 @@ class Matrix:
     def entry(self, i: int, j: int) -> Element:
         return Element(self.ring, tuple(c[i][j] for c in self.comps))
 
-    def to_lists(self) -> list[list[Element]]:
-        return [[self.entry(i, j) for j in range(self.cols)] for i in range(self.rows)]
-
     def row(self, i: int) -> tuple[Element, ...]:
         return tuple(self.entry(i, j) for j in range(self.cols))
-
-    def project(self, i: int) -> ComponentMatrix:
-        """Image under the projection onto component i."""
-        return ComponentMatrix(
-            self.ring.components[i], self.rows, self.cols, self.comps[i]
-        )
-
-    def residue(self, i: int) -> ComponentMatrix:
-        """Image over the residue field of component i (entries mod p_i)."""
-        p = self.ring.components[i].prime
-        ent = tuple(tuple(x % p for x in row) for row in self.comps[i])
-        return ComponentMatrix(LocalRing(p, 1), self.rows, self.cols, ent)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -192,57 +153,6 @@ def mccoy_rank(a: Matrix) -> int:
         zps.rank_mod_p(c, a.cols, comp.prime)
         for c, comp in zip(a.comps, a.ring.components)
     )
-
-
-def _det(a: Matrix, idx_rows: Sequence[int], idx_cols: Sequence[int]) -> Element:
-    """Exact determinant of a square submatrix by cofactor expansion."""
-    k = len(idx_rows)
-    parts = []
-    for c, comp in zip(a.comps, a.ring.components):
-        pe = comp.order
-        sub = [[c[i][j] for j in idx_cols] for i in idx_rows]
-
-        def det(mat: list[list[int]]) -> int:
-            if not mat:
-                return 1
-            if len(mat) == 1:
-                return mat[0][0] % pe
-            total = 0
-            for col, x in enumerate(mat[0]):
-                if x:
-                    minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
-                    term = x * det(minor)
-                    total = (total - term if col % 2 else total + term) % pe
-            return total
-
-        parts.append(det(sub) if k else 1 % pe)
-    return Element(a.ring, tuple(parts))
-
-
-def mccoy_rank_oracle(a: Matrix, max_order: int = 64, max_side: int = 3) -> int:
-    """Definitional McCoy rank: largest k whose k x k minors have trivial annihilator.
-
-    Scans every ring element as an annihilator candidate, so it is guarded to
-    small rings and narrow matrices.
-    """
-    ring = a.ring
-    if ring.order > max_order or min(a.rows, a.cols) > max_side:
-        raise BudgetExceededError("oracle guard: ring or matrix too large")
-    nonzero = [x for x in ring.elements() if not x.is_zero()]
-    best = 0
-    for k in range(1, min(a.rows, a.cols) + 1):
-        minors = [
-            _det(a, ri, ci)
-            for ri in itertools.combinations(range(a.rows), k)
-            for ci in itertools.combinations(range(a.cols), k)
-        ]
-        annihilated = any(
-            all((x * mnr).is_zero() for mnr in minors) for x in nonzero
-        )
-        if annihilated:
-            break
-        best = k
-    return best
 
 
 def is_unimodular_rows(a: Matrix) -> bool:

@@ -3,7 +3,8 @@
 Everything here recounts objects by direct enumeration so the closed
 formulas in ``counting`` can be checked against an independent route.  The
 enumerators never consult the formulas; they grow subspaces one dimension at
-a time and deduplicate by canonical form.
+a time and deduplicate by canonical form.  ``mccoy_rank_oracle`` likewise
+checks ``matrix.mccoy_rank`` against the definition of the McCoy rank.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .counting import (
     count_subspaces_over,
 )
 from .errors import BudgetExceededError
-from .matrix import Matrix, mccoy_rank, mccoy_rank_oracle
-from .ring import Ring
+from .matrix import Matrix, mccoy_rank
+from .ring import Element, Ring
 from .singular import SingularSpace, type_of
 from .subspace import Subspace
 
@@ -195,6 +196,57 @@ def brute_force_dim(gens: Matrix, budget: int = DEFAULT_BUDGET) -> int:
             if mccoy_rank(Matrix(ring, k, n, comps)) == k:
                 return k
     return 0
+
+
+def _det(a: Matrix, idx_rows: Sequence[int], idx_cols: Sequence[int]) -> Element:
+    """Exact determinant of a square submatrix by cofactor expansion."""
+    k = len(idx_rows)
+    parts = []
+    for c, comp in zip(a.comps, a.ring.components):
+        pe = comp.order
+        sub = [[c[i][j] for j in idx_cols] for i in idx_rows]
+
+        def det(mat: list[list[int]]) -> int:
+            if not mat:
+                return 1
+            if len(mat) == 1:
+                return mat[0][0] % pe
+            total = 0
+            for col, x in enumerate(mat[0]):
+                if x:
+                    minor = [row[:col] + row[col + 1 :] for row in mat[1:]]
+                    term = x * det(minor)
+                    total = (total - term if col % 2 else total + term) % pe
+            return total
+
+        parts.append(det(sub) if k else 1 % pe)
+    return Element(a.ring, tuple(parts))
+
+
+def mccoy_rank_oracle(a: Matrix, max_order: int = 64, max_side: int = 3) -> int:
+    """Definitional McCoy rank: largest k whose k x k minors have trivial annihilator.
+
+    Scans every ring element as an annihilator candidate, so it is guarded to
+    small rings and narrow matrices.
+    """
+    ring = a.ring
+    if ring.order > max_order or min(a.rows, a.cols) > max_side:
+        raise BudgetExceededError("oracle guard: ring or matrix too large")
+    nonzero = [x for x in ring.elements() if not x.is_zero()]
+    best = 0
+    for k in range(1, min(a.rows, a.cols) + 1):
+        minors = [
+            _det(a, ri, ci)
+            for ri in itertools.combinations(range(a.rows), k)
+            for ci in itertools.combinations(range(a.cols), k)
+        ]
+        annihilated = any(
+            all((x * mnr).is_zero() for mnr in minors) for x in nonzero
+        )
+        if annihilated:
+            break
+        best = k
+    return best
 
 
 # -- verification harness -----------------------------------------------------

@@ -60,11 +60,6 @@ class LocalRing:
         return self.prime**self.exponent
 
     @property
-    def residue_order(self) -> int:
-        """Order of the residue field Z_{p^s} / (p)."""
-        return self.prime
-
-    @property
     def maximal_ideal_order(self) -> int:
         """Order of the maximal ideal (p), i.e. p^(s-1)."""
         return self.prime ** (self.exponent - 1)
@@ -248,17 +243,8 @@ class Element:
             ),
         )
 
-    def residue(self, i: int) -> int:
-        """Image in the residue field of component i (an integer mod p_i)."""
-        return self.residues[i] % self.ring.components[i].prime
-
     def to_int(self) -> int:
         return self.ring.int_encode(self)
-
-
-def crt_combine(ring: Ring, parts: Iterable[int]) -> Element:
-    """Assemble an element from per-component residues (validating ranges)."""
-    return ring.element(parts)
 
 
 def parse_ring(text: str) -> Ring:

@@ -109,10 +109,6 @@ def parse_point_rows(ring: Ring, obj) -> list[list]:
     return obj
 
 
-def count_str(x: int) -> str:
-    return str(x)
-
-
 def load_payload(text: str):
     """Inline JSON, or @path to read the JSON from a file."""
     if text.startswith("@"):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubspaceError, UntypedSubspaceError
+from .errors import UntypedSubspaceError
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank
 from .ring import Ring
 from .subspace import LinearSubset, Subspace, as_subspace, meet
@@ -71,13 +71,7 @@ class TypedSubspace:
 def type_of(p: Subspace, space: SingularSpace) -> TypedSubspace:
     """Compute the (m, t) type of P; untyped when P meet E is not free."""
     tail = meet(p, space.special)
-    t = tail.dim
-    try:
-        as_subspace(tail)
-        typed = True
-    except NotASubspaceError:
-        typed = False
-    return TypedSubspace(p, space, p.dim, t, typed, tail)
+    return TypedSubspace(p, space, p.dim, tail.dim, tail.is_free, tail)
 
 
 def canonical_mt_transform(

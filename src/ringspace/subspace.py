@@ -87,9 +87,6 @@ class Subspace:
                     return False
         return True
 
-    def sort_key(self):
-        return self.canons
-
 
 @dataclass(frozen=True, slots=True)
 class LinearSubset:
@@ -98,7 +95,6 @@ class LinearSubset:
     ring: Ring
     ambient: int
     howells: tuple[Rows, ...]
-    generators: Matrix
 
     @classmethod
     def from_generators(cls, a: Matrix) -> "LinearSubset":
@@ -106,7 +102,7 @@ class LinearSubset:
             zps.howell(c, a.cols, comp.prime, comp.exponent)
             for c, comp in zip(a.comps, a.ring.components)
         )
-        return cls(a.ring, a.cols, howells, a)
+        return cls(a.ring, a.cols, howells)
 
     @property
     def dim(self) -> int:
@@ -121,11 +117,20 @@ class LinearSubset:
             for h, comp in zip(self.howells, self.ring.components)
         )
 
-    def module_sizes(self) -> tuple[int, ...]:
-        return tuple(
-            zps.module_size(h, comp.prime, comp.exponent)
-            for h, comp in zip(self.howells, self.ring.components)
-        )
+    @property
+    def is_free(self) -> bool:
+        """True when the module is a free direct summand with unimodular basis.
+
+        That holds iff in every component its size is (p^s)^d for d the
+        component's mod-p rank, and all components share the same d.
+        """
+        ranks = set()
+        for h, comp in zip(self.howells, self.ring.components):
+            d = zps.rank_mod_p(h, self.ambient, comp.prime)
+            if zps.module_size(h, comp.prime, comp.exponent) != comp.order**d:
+                return False
+            ranks.add(d)
+        return len(ranks) == 1
 
     def contains_vector(self, comps_row: tuple[tuple[int, ...], ...]) -> bool:
         return all(
@@ -133,25 +138,9 @@ class LinearSubset:
             for h, row, comp in zip(self.howells, comps_row, self.ring.components)
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearSubset):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.ambient == other.ambient
-            and self.howells == other.howells
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.ambient, self.howells))
-
 
 def subspace_span(s: Subspace) -> LinearSubset:
     return LinearSubset.from_generators(s.display)
-
-
-def dim_linear_subset(gens: Matrix) -> int:
-    return LinearSubset.from_generators(gens).dim
 
 
 def meet(a: Subspace, b: Subspace) -> LinearSubset:
@@ -163,7 +152,6 @@ def meet(a: Subspace, b: Subspace) -> LinearSubset:
     """
     _check_pair(a, b)
     howells = []
-    gen_comps = []
     for ca, cb, comp in zip(a.canons, b.canons, a.ring.components):
         p, s, pe = comp.prime, comp.exponent, comp.order
         stacked = ca + cb
@@ -175,11 +163,8 @@ def meet(a: Subspace, b: Subspace) -> LinearSubset:
             )
             for row in kern
         )
-        h = zps.howell(gens, a.ambient, p, s)
-        howells.append(h)
-        gen_comps.append(h)
-    gmat = _padded_matrix(a.ring, gen_comps, a.ambient)
-    return LinearSubset(a.ring, a.ambient, tuple(howells), gmat)
+        howells.append(zps.howell(gens, a.ambient, p, s))
+    return LinearSubset(a.ring, a.ambient, tuple(howells))
 
 
 def join(a: Subspace, b: Subspace) -> LinearSubset:
@@ -194,32 +179,15 @@ def _check_pair(a: Subspace, b: Subspace) -> None:
         raise RingMismatchError("subspaces of different spaces")
 
 
-def _padded_matrix(ring: Ring, comps: list[Rows], ncols: int) -> Matrix:
-    """CRT-combine per-component row sets, padding with zero rows to equal length."""
-    m = max((len(c) for c in comps), default=0)
-    zrow = tuple(0 for _ in range(ncols))
-    padded = tuple(tuple(c) + (zrow,) * (m - len(c)) for c in comps)
-    return Matrix(ring, m, ncols, padded)
-
-
 def as_subspace(l: LinearSubset) -> Subspace:
     """Promote a module to a Subspace, or raise NotASubspaceError.
 
-    The module is a free direct summand with unimodular basis iff in every
-    component its size is (p^s)^d for d the component's mod-p rank, and all
-    components share the same d.  The basis is read off by picking Howell
-    rows with independent residues.
+    Needs ``l.is_free``; the basis is read off by picking Howell rows with
+    independent residues.
     """
-    ranks = []
-    for h, comp in zip(l.howells, l.ring.components):
-        d = zps.rank_mod_p(h, l.ambient, comp.prime)
-        size = zps.module_size(h, comp.prime, comp.exponent)
-        if size != comp.order**d:
-            raise NotASubspaceError("module is not free with unimodular basis")
-        ranks.append(d)
-    if len(set(ranks)) > 1:
-        raise NotASubspaceError("component ranks differ")
-    d = ranks[0]
+    if not l.is_free:
+        raise NotASubspaceError("module is not free with unimodular basis")
+    d = l.dim
     basis_comps = []
     for h, comp in zip(l.howells, l.ring.components):
         picked = _residue_independent_rows(h, l.ambient, comp.prime, d)
@@ -279,8 +247,8 @@ def dimension_formula_status(a: Subspace, b: Subspace) -> DimensionStatus:
     m = meet(a, b)
     dim_join, dim_meet = j.dim, m.dim
     formula = dim_join == a.dim + b.dim - dim_meet
-    join_free = _is_free(j)
-    meet_free = _is_free(m)
+    join_free = j.is_free
+    meet_free = m.is_free
     if not (formula == join_free == meet_free):
         raise AssertionError(
             "dimension formula equivalence violated; this is a bug"
@@ -290,14 +258,6 @@ def dimension_formula_status(a: Subspace, b: Subspace) -> DimensionStatus:
     return DimensionStatus(
         a.dim, b.dim, dim_join, dim_meet, formula, join_free, meet_free
     )
-
-
-def _is_free(l: LinearSubset) -> bool:
-    try:
-        as_subspace(l)
-    except NotASubspaceError:
-        return False
-    return True
 
 
 @dataclass(frozen=True, slots=True)

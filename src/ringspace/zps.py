@@ -267,28 +267,14 @@ def completion(rows, ncols: int, p: int, pe: int) -> tuple[tuple[int, ...], ...]
 
 
 def inverse(rows, p: int, pe: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a square matrix over Z_{p^s} by unit-pivot Gauss-Jordan."""
+    """Inverse of a square matrix over Z_{p^s}: the unit-pivot RREF of [A | I].
+
+    The identity block keeps [A | I] at full residue rank, so ``rref_unit``
+    always succeeds; A is invertible exactly when the pivots fill A's block.
+    """
     n = len(rows)
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if work[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            raise NotInvertibleError("matrix is singular over the ring")
-        work[col], work[piv] = work[piv], work[col]
-        prow = work[col]
-        inv_ = pow(prow[col], -1, pe)
-        if inv_ != 1:
-            for j in range(2 * n):
-                prow[j] = prow[j] * inv_ % pe
-        for i in range(n):
-            if i != col:
-                f = work[i][col]
-                if f:
-                    row_i = work[i]
-                    for j in range(2 * n):
-                        row_i[j] = (row_i[j] - f * prow[j]) % pe
-    return tuple(tuple(r[n:]) for r in work)
+    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
+    work, pivots = rref_unit(aug, 2 * n, p, pe)
+    if pivots != tuple(range(n)):
+        raise NotInvertibleError("matrix is singular over the ring")
+    return tuple(r[n:] for r in work)

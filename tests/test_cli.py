@@ -360,6 +360,19 @@ class TestContract:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["singular", "enumerate", "-n", "-1", "-k", "1", "--ring", "Z4"],
+            ["arc", "max", "-n", "-2", "--ring", "Z4"],
+            ["count", "gl", "-n", "-1", "--ring", "Z4"],
+        ],
+    )
+    def test_negative_dimension_is_usage_error(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 2
 

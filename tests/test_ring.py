@@ -9,7 +9,6 @@ from ringspace import (
     Ring,
     RingMismatchError,
     RingParseError,
-    crt_combine,
     parse_ring,
 )
 
@@ -122,12 +121,12 @@ class TestIntegerEncoding:
         with pytest.raises(RingParseError):
             z6.int_decode(6)
 
-    def test_crt_combine_validates(self, z6):
-        assert crt_combine(z6, (1, 2)).to_int() == 5
+    def test_element_validates(self, z6):
+        assert z6.element((1, 2)).to_int() == 5
         with pytest.raises(RingParseError):
-            crt_combine(z6, (1, 3))
+            z6.element((1, 3))
         with pytest.raises(RingParseError):
-            crt_combine(z6, (1,))
+            z6.element((1,))
 
 
 @given(

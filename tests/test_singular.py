@@ -138,15 +138,16 @@ class TestCensus:
     def test_z4_line_census_frozen(self, z4):
         space = SingularSpace(z4, 1, 1)
         types = {}
-        untyped = 0
-        for sub in enumerate_subspaces(1, 2, z4):
-            tp = type_of(sub, space)
-            if tp.typed:
-                types[tp.type] = types.get(tp.type, 0) + 1
-            else:
-                untyped += 1
-        assert types == {(1, 0): 4, (1, 1): 1}
-        assert untyped == 1
+        untyped = []
+        for m in range(3):
+            for sub in enumerate_subspaces(m, 2, z4):
+                tp = type_of(sub, space)
+                if tp.typed:
+                    types[tp.type] = types.get(tp.type, 0) + 1
+                else:
+                    untyped.append(sub.canons)
+        assert types == {(0, 0): 1, (1, 0): 4, (1, 1): 1, (2, 1): 1}
+        assert untyped == [(((2, 1),),)]
 
     def test_enumerate_mt_agrees_with_filter(self, z2):
         space = SingularSpace(z2, 2, 1)

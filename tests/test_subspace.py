@@ -250,3 +250,19 @@ class TestPromotion:
             for m in range(3):
                 for s in enumerate_subspaces(m, 2, ring):
                     assert as_subspace(subspace_span(s)) == s
+
+    @pytest.mark.parametrize("spec,n", [("Z4", 2), ("Z6", 2), ("Z2xZ2", 3)])
+    def test_is_free_iff_span_of_a_subspace(self, spec, n):
+        """The size test agrees with an enumeration of all free summands."""
+        ring = parse_ring(spec)
+        subs = [s for m in range(n + 1) for s in enumerate_subspaces(m, n, ring)]
+        spans = {subspace_span(s): s for s in subs}
+        for a in subs:
+            for b in subs:
+                for l in (meet(a, b), join(a, b)):
+                    assert l.is_free == (l in spans)
+                    if l.is_free:
+                        assert as_subspace(l) == spans[l]
+                    else:
+                        with pytest.raises(NotASubspaceError):
+                            as_subspace(l)

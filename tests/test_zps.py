@@ -199,3 +199,32 @@ def test_inverse(p, s):
             with pytest.raises(NotInvertibleError):
                 inverse(a, p, pe)
     assert seen_invertible > 5
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_inverse_exhaustive_2x2(p, s):
+    pe = p**s
+    for flat in itertools.product(range(pe), repeat=4):
+        a = [flat[:2], flat[2:]]
+        if rank_mod_p(a, 2, p) == 2:
+            assert matmul(a, inverse(a, p, pe), pe) == identity(2)
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(a, p, pe)
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 3)])
+def test_inverse_seeded_4x4(p, s):
+    pe = p**s
+    rng = random.Random(29)
+    seen_invertible = 0
+    for _ in range(40):
+        a = random_rows(rng, 4, 4, pe)
+        if rank_mod_p(a, 4, p) == 4:
+            b = inverse(a, p, pe)
+            assert matmul(a, b, pe) == identity(4) == matmul(b, a, pe)
+            seen_invertible += 1
+        else:
+            with pytest.raises(NotInvertibleError):
+                inverse(a, p, pe)
+    assert seen_invertible > 5
