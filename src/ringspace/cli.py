@@ -300,14 +300,13 @@ _PAIR = (
 _TYPED = _dims("n k") + (("--matrix", {"required": True}),)
 _MT_NESTED = "m1 t1 m t n k"
 _POINTS = (
-    _BUDGET,
     ("--points", {"required": True, "help": "JSON point rows or @file"}),
     ("-n", {"type": dimension, "default": None, "help": "ambient dimension"}),
 )
 _GEOMETRY = [
     ("check", "check a point set", _cmd_check, _POINTS),
-    ("complete", "complete a point set", _cmd_complete, _POINTS),
-    ("extend", "extend a point set", _cmd_extend, _POINTS),
+    ("complete", "complete a point set", _cmd_complete, (_BUDGET, *_POINTS)),
+    ("extend", "extend a point set", _cmd_extend, (_BUDGET, *_POINTS)),
     ("search", "exhaustive maximum search", _cmd_search, (_BUDGET, *_dims("n"))),
     ("max", "known maximum size, null when unknown", _cmd_max, _dims("n")),
 ]

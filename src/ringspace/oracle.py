@@ -3,8 +3,11 @@
 Everything here recounts objects by direct enumeration so the closed
 formulas in ``counting`` can be checked against an independent route.  The
 enumerators never consult the formulas; they grow subspaces one dimension at
-a time and deduplicate by canonical form.  ``mccoy_rank_oracle`` likewise
-checks ``matrix.mccoy_rank`` against the definition of the McCoy rank.
+a time by canonical augmentation (McKay 1998): a child is kept only when its
+parent's canonical rows and the new point's canonical row already form the
+child's canonical form, so each subspace is made once and nothing needs
+deduplicating.  ``mccoy_rank_oracle`` likewise checks ``matrix.mccoy_rank``
+against the definition of the McCoy rank.
 """
 
 from __future__ import annotations
@@ -103,10 +106,34 @@ def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:
     return Subspace(ring, n, sub.dim + 1, tuple(canons), tuple(pivots))
 
 
+def _bits(cols, shift: int) -> int:
+    """Bit mask of the given columns, moved up by ``shift`` bits."""
+    mask = 0
+    for j in cols:
+        mask |= 1 << (j + shift)
+    return mask
+
+
 def enumerate_subspaces(
     m: int, n: int, ring: Ring, budget: int = DEFAULT_BUDGET
 ) -> list[Subspace]:
-    """All m-subspaces of R^n by depth-one extension from (m-1)-subspaces."""
+    """All m-subspaces of R^n, each built once from its unique parent.
+
+    A child ``S = P + pt`` of an (m-1)-subspace P and a point pt is accepted
+    only when P's canonical rows followed by pt's canonical row already form
+    S's unit-pivot RREF.  That holds exactly when, in every component:
+
+    1. pt's pivot lies right of P's last pivot;
+    2. every row of P is 0 in pt's pivot column;
+    3. pt's row is 0 in every pivot column of P.
+
+    (Over a chain ring a point's row can carry a non-unit left of its pivot,
+    such as ``(2, 1)`` in Z4, so condition 3 is not implied by 1 and 2.)
+    Every m-subspace's RREF splits one way into its first m-1 rows, a
+    canonical (m-1)-subspace, and its last row, a canonical point, so each
+    subspace is made exactly once and needs neither an RREF nor a dedup.
+    The budget is spent once per (parent, point) pair.
+    """
     if m < 0 or m > n:
         return []
     current = [Subspace.zero(ring, n)]
@@ -114,15 +141,43 @@ def enumerate_subspaces(
         return current
     tick = _Budget(budget)
     points = enumerate_points(n, ring, budget)
+    # Column j of component i is bit i*n + j of every mask.  A pair passes
+    # conditions 1 and 2 when the point's pivots lie in the parent's open
+    # columns, and condition 3 when the point's support misses its pivots.
+    shifts = [i * n for i in range(ring.ell)]
+    point_masks = []
+    for pt in points:
+        pivot_bits = support = 0
+        for (row,), pivs, shift in zip(pt.canons, pt.pivots, shifts):
+            pivot_bits |= _bits(pivs, shift)
+            support |= _bits((j for j, x in enumerate(row) if x), shift)
+        point_masks.append((pt, pivot_bits, support))
     for _ in range(m):
-        nxt: dict[tuple, Subspace] = {}
+        nxt = []
         for sub in current:
-            for pt in points:
+            # open: the columns right of the last pivot where every row is 0
+            open_bits = taken = 0
+            for rows, pivs, shift in zip(sub.canons, sub.pivots, shifts):
+                start = pivs[-1] + 1 if pivs else 0
+                open_bits |= _bits(
+                    (j for j in range(start, n) if not any(r[j] for r in rows)),
+                    shift,
+                )
+                taken |= _bits(pivs, shift)
+            for pt, pivot_bits, support in point_masks:
                 tick.spend()
-                grown = extend_subspace(sub, pt)
-                if grown is not None and grown.canons not in nxt:
-                    nxt[grown.canons] = grown
-        current = list(nxt.values())
+                if pivot_bits & ~open_bits or support & taken:
+                    continue
+                nxt.append(
+                    Subspace(
+                        ring,
+                        n,
+                        sub.dim + 1,
+                        tuple(c + p for c, p in zip(sub.canons, pt.canons)),
+                        tuple(c + p for c, p in zip(sub.pivots, pt.pivots)),
+                    )
+                )
+        current = nxt
     return sorted(current, key=lambda s: s.canons)
 
 

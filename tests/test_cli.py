@@ -373,6 +373,13 @@ class TestContract:
         assert code == 2
         assert out == ""
 
+    def test_check_takes_no_budget(self, capsys):
+        # check spends no nodes, so a budget option there would do nothing
+        argv = ["arc", "check", "--ring", "Z4", "--points", "[[1,0]]", "--budget", "0"]
+        code, out, _ = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 2
 

@@ -9,6 +9,7 @@ from ringspace import (
     BudgetExceededError,
     LinearSubset,
     Matrix,
+    Subspace,
     brute_force_dim,
     count_full_rank,
     count_full_rank_enumerated,
@@ -18,7 +19,34 @@ from ringspace import (
     parse_ring,
     verify_counts,
 )
-from ringspace.oracle import SuiteItem, extend_subspace
+from ringspace.oracle import DEFAULT_BUDGET, SuiteItem, extend_subspace
+
+
+def _extend_and_dedup_levels(n, ring):
+    """Reference enumerator: join every (m-1)-subspace with every point
+    through ``extend_subspace`` and keep one subspace per canonical form.
+
+    Yields the sorted list of m-subspaces for m = 0, 1, ..., n, and stops
+    with None at the first m whose (parent, point) pairs, counted over all
+    levels so far, exceed the default budget: there the enumerator must raise.
+    """
+    points = enumerate_points(n, ring)
+    level = [Subspace.zero(ring, n)]
+    yield level
+    spent = 0
+    for _ in range(n):
+        spent += len(level) * len(points)
+        if spent > DEFAULT_BUDGET:
+            yield None
+            return
+        grown = {}
+        for sub in level:
+            for pt in points:
+                child = extend_subspace(sub, pt)
+                if child is not None:
+                    grown.setdefault(child.canons, child)
+        level = sorted(grown.values(), key=lambda s: s.canons)
+        yield level
 
 
 class TestPoints:
@@ -43,6 +71,37 @@ class TestSubspaceEnumeration:
         assert len(enumerate_subspaces(0, 2, z4)) == 1
         assert len(enumerate_subspaces(2, 2, z4)) == 1
         assert len(enumerate_subspaces(3, 2, z4)) == 0
+
+    def test_budget_counts_every_parent_point_pair(self, z4):
+        # Z4^2 has 6 points: 1 x 6 pairs at m = 1, then 6 x 6 at m = 2
+        assert len(enumerate_subspaces(2, 2, z4, budget=42)) == 1
+        with pytest.raises(BudgetExceededError):
+            enumerate_subspaces(2, 2, z4, budget=41)
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [
+            (name, n)
+            for name in (
+                "Z2", "Z3", "Z4", "Z6", "Z8", "Z9", "Z2xZ2", "Z12", "Z2xZ4", "Z27"
+            )
+            for n in range(4)
+        ]
+        + [("Z4", 4)],
+    )
+    def test_matches_extend_and_dedup(self, name, n):
+        # Z4^2, m = 2 catches an accept rule that lets the point's row carry
+        # a non-unit in a pivot column of the parent, e.g. ((1,0),(2,1))
+        ring = parse_ring(name)
+        for m, expected in enumerate(_extend_and_dedup_levels(n, ring)):
+            if expected is None:
+                for m_over in range(m, n + 1):
+                    with pytest.raises(BudgetExceededError):
+                        enumerate_subspaces(m_over, n, ring)
+                break
+            got = enumerate_subspaces(m, n, ring)
+            assert got == expected
+            assert len({s.canons for s in got}) == len(got)
 
     def test_extension_step(self, z4):
         line = enumerate_subspaces(1, 2, z4)[0]
