@@ -288,6 +288,17 @@ def _search(
 
     Candidates are consumed in canonical order, so the first maximum found
     is deterministic.  Budget counts search nodes.
+
+    The search forward-checks (Haralick & Elliott 1980): each node's
+    ``cands`` holds exactly the candidates admissible to ``current``, in
+    canonical order, as the caller's root list does for ``base``.  Picking
+    ``x = cands[i]`` keeps those later candidates c for which every k-point
+    set through both x and c has full rank: ``current + (x, c)`` itself
+    while it has at most k points, else ``S + (x, c)`` for every
+    (k-2)-subset S of ``current``.  The k-point sets without x were checked
+    when c entered ``cands``.  The nodes and their order, hence the node
+    count and what the budget means, are those of testing every later
+    candidate against all of ``current``.
     """
     best = list(base)
     nodes = [0]
@@ -299,11 +310,15 @@ def _search(
             raise BudgetExceededError("search budget exhausted")
         if len(current) > len(best):
             best = list(current)
-        for i, cand in enumerate(cands):
-            ps = PointSet(ring, n, tuple(current))
-            if _admits(ps, cand, k):
-                rest = cands[i + 1 :]
-                dfs(current + [cand], rest)
+        size = min(len(current), k - 2)
+        for i, x in enumerate(cands):
+            through = [s + (x,) for s in itertools.combinations(current, size)]
+            rest = [
+                c
+                for c in cands[i + 1 :]
+                if all(_stack_has_rank(s + (c,), ring, n, size + 2) for s in through)
+            ]
+            dfs(current + [x], rest)
 
     dfs(base, candidates)
     return best
@@ -314,7 +329,8 @@ def _search_max(
 ) -> PointSet:
     base = [Subspace.from_matrix(Matrix.from_entries(ring, [row])) for row in base_rows]
     base_set = PointSet.of(ring, n, base)
-    assert is_kind(base_set)
+    if not is_kind(base_set):
+        raise AssertionError("the pinned frame is not admissible; this is a bug")
     k = kind.size(n)
     pinned = {p.canons for p in base}
     candidates = [

@@ -132,7 +132,8 @@ def enumerate_subspaces(
     Every m-subspace's RREF splits one way into its first m-1 rows, a
     canonical (m-1)-subspace, and its last row, a canonical point, so each
     subspace is made exactly once and needs neither an RREF nor a dedup.
-    The budget is spent once per (parent, point) pair.
+    The budget counts (parent, point) pairs; each parent spends its pairs
+    at once.
     """
     if m < 0 or m > n:
         return []
@@ -164,8 +165,8 @@ def enumerate_subspaces(
                     shift,
                 )
                 taken |= _bits(pivs, shift)
+            tick.spend(len(point_masks))
             for pt, pivot_bits, support in point_masks:
-                tick.spend()
                 if pivot_bits & ~open_bits or support & taken:
                     continue
                 nxt.append(

@@ -26,6 +26,7 @@ from ringspace import (
     search_max_arc,
     search_max_cap,
 )
+from ringspace import geometry
 
 
 def all_arcs(ring, n, limit=None):
@@ -61,6 +62,25 @@ def all_caps(ring, n, limit=None):
 
     grow(PointSet.of(ring, n, []), 0)
     return found
+
+
+def _full_check_search(base, candidates, k, ring, n):
+    """The search without forward checking: every node tests each later
+    candidate against all of current.  Returns the best set and the nodes."""
+    best = list(base)
+    nodes = 0
+
+    def dfs(current, cands):
+        nonlocal best, nodes
+        nodes += 1
+        if len(current) > len(best):
+            best = list(current)
+        for i, cand in enumerate(cands):
+            if geometry._admits(PointSet(ring, n, tuple(current)), cand, k):
+                dfs(current + [cand], cands[i + 1 :])
+
+    dfs(list(base), candidates)
+    return best, nodes
 
 
 class TestArcPredicate:
@@ -236,6 +256,48 @@ class TestSearch:
     def test_budget_guard(self, z2):
         with pytest.raises(BudgetExceededError):
             search_max_cap(4, z2, budget=2)
+
+    def test_max_cap_z3_4(self, z3):
+        # the largest search the benchmark runs
+        ps = search_max_cap(4, z3)
+        assert len(ps.points) == 10 == max_cap_size_formula(4, z3)
+        assert is_cap(ps)
+        assert is_complete_cap(ps)
+
+    @pytest.mark.parametrize(
+        "kind,n,spec",
+        [
+            ("arc", 3, "Z5"),
+            ("arc", 3, "Z7"),
+            ("arc", 4, "Z5"),
+            ("arc", 4, "Z7"),
+            ("cap", 3, "Z5"),
+            ("cap", 3, "Z4"),
+            ("cap", 4, "Z2"),
+        ],
+    )
+    def test_forward_checking_matches_full_check(self, kind, n, spec):
+        """The search visits the nodes of the search that tests every later
+        candidate against all of current, in the same order: same result,
+        and the budget runs out at the same node."""
+        ring = parse_ring(spec)
+        k = n if kind == "arc" else 3
+        frame = [[int(i == j) for j in range(n)] for i in range(k)]
+        if kind == "arc":
+            frame.append([1] * n)
+        base_set = PointSet.from_rows(ring, frame)
+        base = list(base_set.points)
+        pinned = {p.canons for p in base}
+        candidates = [
+            c
+            for c in enumerate_points(n, ring)
+            if c.canons not in pinned and geometry._admits(base_set, c, k)
+        ]
+        want, nodes = _full_check_search(base, candidates, k, ring, n)
+        got = geometry._search(base, candidates, k, ring, n, nodes)
+        assert [p.canons for p in got] == [p.canons for p in want]
+        with pytest.raises(BudgetExceededError):
+            geometry._search(base, candidates, k, ring, n, nodes - 1)
 
 
 class TestLifting:
