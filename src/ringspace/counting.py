@@ -60,7 +60,8 @@ def _local_subspace_count(m: int, n: int, rj: int, mj: int) -> int:
         num *= rj ** (n - i) - mj ** (n - i)
         den *= rj ** (m - i) - mj ** (m - i)
     q, r = divmod(num, den)
-    assert r == 0, "subspace count must be an integer"
+    if r:
+        raise AssertionError("subspace count must be an integer")
     return q
 
 

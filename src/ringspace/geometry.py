@@ -251,7 +251,8 @@ def _max_size(n: int, ring: Ring, kind: _Kind, table_rows) -> int | None:
     vals = table_rows(n, [c.prime for c in ring.components])
     if not vals:
         return None
-    assert len(set(vals)) == 1, "table rows must agree where they overlap"
+    if len(set(vals)) != 1:
+        raise AssertionError("table rows must agree where they overlap")
     return vals[0]
 
 
@@ -290,38 +291,85 @@ def _search(
     is deterministic.  Budget counts search nodes.
 
     The search forward-checks (Haralick & Elliott 1980): each node's
-    ``cands`` holds exactly the candidates admissible to ``current``, in
-    canonical order, as the caller's root list does for ``base``.  Picking
-    ``x = cands[i]`` keeps those later candidates c for which every k-point
-    set through both x and c has full rank: ``current + (x, c)`` itself
-    while it has at most k points, else ``S + (x, c)`` for every
-    (k-2)-subset S of ``current``.  The k-point sets without x were checked
-    when c entered ``cands``.  The nodes and their order, hence the node
-    count and what the budget means, are those of testing every later
-    candidate against all of ``current``.
-    """
-    best = list(base)
-    nodes = [0]
+    candidates are exactly those admissible to ``current``, as the caller's
+    root list is for ``base``.  Picking x keeps those later candidates c
+    for which every k-point set through both x and c has full rank:
+    ``current + (x, c)`` itself while it has at most k points, else
+    ``S + (x, c)`` for every (k-2)-subset S of ``current``.  The k-point
+    sets without x were checked when c entered the candidates.
 
-    def dfs(current: list[Subspace], cands: list[Subspace]) -> None:
-        nonlocal best
-        nodes[0] += 1
-        if nodes[0] > budget:
+    Points are indexed into one pool, base then candidates, so a bit's
+    position is its canonical order, and a node's candidates are an int
+    mask taken lowest bit first (Östergård 2002 keeps clique candidates the
+    same way).  The nodes and their order, hence the node count and what
+    the budget means, are those of testing every later candidate against
+    all of ``current``.
+
+    Each through-stack ``S + (x,)`` is keyed by its pool indices, which are
+    sorted because ``current`` holds increasing indices and x exceeds them.
+    A memo that lives for this one call holds, per stack, its rows reduced
+    mod p in every component, the candidate bits tested against it so far
+    and those that passed; a later query tests only bits it has not seen.
+    The memo has one entry per distinct stack visited.
+    """
+    pool = base + candidates
+    primes = [c.prime for c in ring.components]
+    rows = [[canon[0] for canon in pt.canons] for pt in pool]
+    memo: dict[tuple[int, ...], list] = {}
+
+    def admissible(stack: tuple[int, ...], rest: int) -> int:
+        """The bits c of rest (or more) for which stack + (c,) has full rank."""
+        entry = memo.get(stack)
+        if entry is None:
+            reduced = []
+            for ci, p in enumerate(primes):
+                basis = ()
+                for i in stack:
+                    basis = zps.echelon_add_mod_p(basis, rows[i][ci], p)
+                    if basis is None:
+                        break
+                reduced.append(basis)
+            entry = memo[stack] = [tuple(reduced), 0, 0]
+        reduced, tested, passed = entry
+        untested = rest & ~tested
+        if untested and None not in reduced:
+            entry[1] = tested | untested
+            while untested:
+                low = untested & -untested
+                untested ^= low
+                crows = rows[low.bit_length() - 1]
+                if all(
+                    zps.echelon_add_mod_p(basis, row, p) is not None
+                    for basis, row, p in zip(reduced, crows, primes)
+                ):
+                    passed |= low
+            entry[2] = passed
+        return passed
+
+    best: tuple[int, ...] = tuple(range(len(base)))
+    nodes = 0
+
+    def dfs(current: tuple[int, ...], cands: int) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceededError("search budget exhausted")
         if len(current) > len(best):
-            best = list(current)
-        size = min(len(current), k - 2)
-        for i, x in enumerate(cands):
-            through = [s + (x,) for s in itertools.combinations(current, size)]
-            rest = [
-                c
-                for c in cands[i + 1 :]
-                if all(_stack_has_rank(s + (c,), ring, n, size + 2) for s in through)
-            ]
-            dfs(current + [x], rest)
+            best = current
+        subsets = list(itertools.combinations(current, min(len(current), k - 2)))
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            x = low.bit_length() - 1
+            rest = cands
+            for s in subsets:
+                if not rest:
+                    break
+                rest &= admissible(s + (x,), rest)
+            dfs(current + (x,), rest)
 
-    dfs(base, candidates)
-    return best
+    dfs(best, ((1 << len(candidates)) - 1) << len(base))
+    return [pool[i] for i in best]
 
 
 def _search_max(

@@ -202,7 +202,8 @@ def extend_to_basis(a: Matrix) -> Matrix:
     exactly.
     """
     ext = gl_inverse(completion(a))
-    assert all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps))
+    if not all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps)):
+        raise AssertionError("the extended basis must start with the input rows")
     return ext
 
 

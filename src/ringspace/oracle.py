@@ -2,12 +2,14 @@
 
 Everything here recounts objects by direct enumeration so the closed
 formulas in ``counting`` can be checked against an independent route.  The
-enumerators never consult the formulas; they grow subspaces one dimension at
-a time by canonical augmentation (McKay 1998): a child is kept only when its
-parent's canonical rows and the new point's canonical row already form the
-child's canonical form, so each subspace is made once and nothing needs
-deduplicating.  ``mccoy_rank_oracle`` likewise checks ``matrix.mccoy_rank``
-against the definition of the McCoy rank.
+enumerators never consult the formulas.  Points are listed as the rows that
+are already their own canonical form, in each component: the first unit
+entry is 1 and every entry left of it is a non-unit.  Subspaces grow one
+dimension at a time by canonical augmentation (McKay 1998): a child is kept
+only when its parent's canonical rows and the new point's canonical row
+already form the child's canonical form, so each subspace is made once and
+nothing needs deduplicating.  ``mccoy_rank_oracle`` likewise checks
+``matrix.mccoy_rank`` against the definition of the McCoy rank.
 """
 
 from __future__ import annotations
@@ -67,24 +69,37 @@ def point_sort_key(p: Subspace):
     )
 
 
+def _canonical_rows(n: int, p: int, pe: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(row, pivot) for each row of Z_{p^s}^n that is its own unit-pivot RREF."""
+    for piv in range(n):
+        for left in itertools.product(range(0, pe, p), repeat=piv):
+            for right in itertools.product(range(pe), repeat=n - piv - 1):
+                yield left + (1,) + right, piv
+
+
 def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    """All 1-subspaces of R^n, sorted by canonical representative."""
-    tick = _Budget(budget)
-    seen: dict[tuple, Subspace] = {}
-    for rows in iter_vectors(n, ring):
-        tick.spend()
-        if not _is_unimodular_vector(rows, ring):
-            continue
-        canons = []
-        pivots = []
-        for row, comp in zip(rows, ring.components):
-            canon, piv = zps.rref_unit((row,), n, comp.prime, comp.order)
-            canons.append(canon)
-            pivots.append(piv)
-        key = tuple(canons)
-        if key not in seen:
-            seen[key] = Subspace(ring, n, 1, key, tuple(pivots))
-    return sorted(seen.values(), key=point_sort_key)
+    """All 1-subspaces of R^n, sorted by canonical representative.
+
+    A point's canonical form is one canonical row per component, so the
+    points are the product over components of the rows of Z_{p^s}^n that
+    are already their own unit-pivot RREF: the first unit entry is 1 and
+    every entry left of it is a non-unit.  No row is reduced and none is
+    made twice.  The budget is charged |R|^n, the size of R^n, before any
+    work starts.
+    """
+    _Budget(budget).spend(ring.order**n)
+    per_comp = [list(_canonical_rows(n, c.prime, c.order)) for c in ring.components]
+    points = [
+        Subspace(
+            ring,
+            n,
+            1,
+            tuple((row,) for row, _ in combo),
+            tuple((piv,) for _, piv in combo),
+        )
+        for combo in itertools.product(*per_comp)
+    ]
+    return sorted(points, key=point_sort_key)
 
 
 def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:

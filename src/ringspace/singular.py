@@ -32,12 +32,19 @@ class SingularSpace:
 
     @property
     def special(self) -> Subspace:
-        """The tail subspace E."""
-        rows = [
-            [1 if j == self.n + i else 0 for j in range(self.ambient)]
-            for i in range(self.k)
-        ]
-        return Subspace.from_matrix(Matrix.from_entries(self.ring, rows))
+        """The tail subspace E, built in canonical form.
+
+        Its rows are the identity rows at columns n .. n+k-1, which are
+        also its pivots, in every component; with k = 0 it is the zero
+        subspace of R^n.
+        """
+        n, k = self.n, self.k
+        rows = tuple(
+            tuple(1 if j == n + i else 0 for j in range(n + k)) for i in range(k)
+        )
+        pivots = tuple(range(n, n + k))
+        ell = self.ring.ell
+        return Subspace(self.ring, n + k, k, (rows,) * ell, (pivots,) * ell)
 
 
 def is_in_gl_nk(t: Matrix, space: SingularSpace) -> bool:
@@ -102,7 +109,8 @@ def canonical_mt_transform(
     for f_rows, piv, comp in zip(f.comps, tp.subspace.pivots, ring.components):
         coeff_comps.append(tuple(tuple(row[c] for c in piv) for row in f_rows))
     coeff = Matrix(ring, t, m, tuple(coeff_comps))
-    assert coeff.mul(a).comps == f.comps, "tail rows must lie in P"
+    if coeff.mul(a).comps != f.comps:
+        raise AssertionError("tail rows must lie in P")
 
     # invertible row mix G with the tail coefficients as its last t rows
     ext = extend_to_basis(coeff)  # coeff rows first
@@ -134,8 +142,10 @@ def canonical_mt_transform(
         if m
         else Subspace.zero(ring, n + k)
     )
-    assert is_in_gl_nk(trans, space)
-    assert Subspace.from_matrix(a.mul(trans)) == target
+    if not is_in_gl_nk(trans, space):
+        raise AssertionError("the transform must lie in the block group")
+    if Subspace.from_matrix(a.mul(trans)) != target:
+        raise AssertionError("the transform must carry P to the canonical subspace")
     return trans, target
 
 

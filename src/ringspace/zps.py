@@ -27,8 +27,8 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 def matmul(a, b, pe: int) -> tuple[tuple[int, ...], ...]:
     """Product of an m x k and a k x n matrix mod pe."""
-    if a and b:
-        assert len(a[0]) == len(b)
+    if a and b and len(a[0]) != len(b):
+        raise AssertionError("inner dimensions of the product differ")
     bt = list(zip(*b)) if b else []
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % pe for col in bt)
@@ -67,6 +67,28 @@ def rank_mod_p(rows, ncols: int, p: int) -> int:
                     row_i[j] = (row_i[j] - fi * prow[j]) % p
         rank += 1
     return rank
+
+
+def echelon_add_mod_p(basis, row, p: int):
+    """A mod-p echelon basis with row added, or None when row is in its span.
+
+    ``basis`` is a tuple of (pivot column, residue row) pairs, each row 1
+    at its pivot and 0 at the pivots before it; ``()`` is the empty basis.
+    Row is reduced mod p against the pairs in order, which clears every
+    pivot column.  A nonzero remainder, scaled to 1 at its first nonzero
+    column, is appended.  Folding a stack's rows through this reduces the
+    stack once; testing a further row against it is one more call.
+    """
+    v = [x % p for x in row]
+    for col, prow in basis:
+        f = v[col]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, prow)]
+    for col, x in enumerate(v):
+        if x:
+            inv = pow(x, -1, p)
+            return basis + ((col, tuple([y * inv % p for y in v])),)
+    return None
 
 
 def rref_unit(rows, ncols: int, p: int, pe: int):

@@ -274,6 +274,14 @@ class TestSingularCommands:
         assert doc["count"] == "6"
         assert len(doc["subspaces"]) == 6
 
+    def test_enumerate_without_tail(self, capsys):
+        # k = 0: the tail E is the zero subspace of R^n itself
+        argv = ["-m", "1", "-t", "0", "-n", "2", "-k", "0", "--ring", "Z4"]
+        doc = run_json(capsys, ["singular", "enumerate"] + argv)
+        assert doc["count"] == "6"
+        assert len(doc["subspaces"]) == 6
+        assert run_json(capsys, ["singular", "count"] + argv) == {"count": "6"}
+
 
 class TestGeometryCommands:
     def test_arc_check(self, capsys):

@@ -274,6 +274,16 @@ class TestSearch:
             ("cap", 3, "Z5"),
             ("cap", 3, "Z4"),
             ("cap", 4, "Z2"),
+            ("arc", 3, "Z6"),
+            ("arc", 3, "Z12"),
+            ("cap", 3, "Z2xZ3"),
+            ("cap", 3, "Z8"),
+            ("cap", 3, "Z9"),
+            # both residue fields leave room to search beyond the frame
+            ("arc", 2, "Z35"),
+            ("arc", 3, "Z5xZ5"),
+            ("cap", 3, "Z15"),
+            ("arc", 2, "Z5xZ25"),
         ],
     )
     def test_forward_checking_matches_full_check(self, kind, n, spec):

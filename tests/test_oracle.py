@@ -19,7 +19,8 @@ from ringspace import (
     parse_ring,
     verify_counts,
 )
-from ringspace.oracle import DEFAULT_BUDGET, SuiteItem, extend_subspace
+from ringspace import zps
+from ringspace.oracle import DEFAULT_BUDGET, SuiteItem, extend_subspace, iter_vectors
 
 
 def _extend_and_dedup_levels(n, ring):
@@ -49,7 +50,40 @@ def _extend_and_dedup_levels(n, ring):
         yield level
 
 
+def _walk_and_rref_points(n, ring):
+    """Reference point enumerator: walk all |R|^n vectors, canonicalise each
+    unimodular one with ``rref_unit`` and keep one point per canonical form."""
+    seen = {}
+    for rows in iter_vectors(n, ring):
+        if not all(any(x % c.prime for x in row) for row, c in zip(rows, ring.components)):
+            continue
+        canons = []
+        pivots = []
+        for row, comp in zip(rows, ring.components):
+            canon, piv = zps.rref_unit((row,), n, comp.prime, comp.order)
+            canons.append(canon)
+            pivots.append(piv)
+        seen.setdefault(tuple(canons), tuple(pivots))
+    return sorted(seen.items(), key=lambda kv: [[c[0][j] for c in kv[0]] for j in range(n)])
+
+
 class TestPoints:
+    @pytest.mark.parametrize(
+        "name,n",
+        [
+            ("Z2", 3), ("Z4", 4), ("Z6", 4), ("Z12", 3), ("Z7", 4), ("Z8", 3),
+            ("Z9", 3), ("Z27", 2), ("Z2xZ4", 3), ("Z2xZ3", 4), ("Z5", 1), ("Z6", 0),
+        ],
+    )
+    def test_points_match_walk_and_rref(self, name, n):
+        ring = parse_ring(name)
+        want = _walk_and_rref_points(n, ring)
+        got = enumerate_points(n, ring, budget=ring.order**n)
+        assert [(p.canons, p.pivots) for p in got] == want
+        assert all(p.ring == ring and p.ambient == n and p.dim == 1 for p in got)
+        with pytest.raises(BudgetExceededError):
+            enumerate_points(n, ring, budget=ring.order**n - 1)
+
     def test_point_counts(self, z4, z2, z9):
         assert len(enumerate_points(2, z4)) == 6
         assert len(enumerate_points(2, z2)) == 3

@@ -13,6 +13,7 @@ from ringspace import (
     enumerate_mt_subspaces,
     enumerate_subspaces,
     is_in_gl_nk,
+    parse_ring,
     type_of,
 )
 
@@ -36,6 +37,18 @@ class TestTyping:
         e = space.special
         assert e.dim == 1
         assert e.canons[0] == ((0, 0, 1),)
+
+    @pytest.mark.parametrize("spec", ["Z4", "Z6", "Z2xZ4"])
+    def test_special_equals_canonicalised_tail_rows(self, spec):
+        ring = parse_ring(spec)
+        for n in range(4):
+            for k in range(1, 4):
+                rows = [[int(j == n + i) for j in range(n + k)] for i in range(k)]
+                old = Subspace.from_matrix(Matrix.from_entries(ring, rows))
+                assert SingularSpace(ring, n, k).special == old
+
+    def test_special_without_tail_is_zero(self, z4):
+        assert SingularSpace(z4, 2, 0).special == Subspace.zero(z4, 2)
 
     def test_plain_line_has_trivial_tail(self, z4):
         space = SingularSpace(z4, 1, 1)
