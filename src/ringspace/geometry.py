@@ -5,6 +5,19 @@ span R^n (every size-n stack of representatives has full McCoy rank), and a
 cap (n >= 3) when every 3 of them span a free 3-subspace.  Sets smaller
 than the defining size are accepted when they are in general position.
 
+Every query reduces each stack of points once per component with
+``zps.echelon_add_mod_p``.  A point c extends a set exactly when, in every
+component, c mod p lies outside the span of every (k-1)-subset of the set
+(all of it, when it has fewer than k points), k being n for arcs and 3 for
+caps: the set's hyperplanes, or its secant lines.  So the extension queries
+cover spans instead of testing points: each stack's span points are marked
+blocked once, and a candidate is kept when its residue key is blocked in no
+component (the covering view of complete caps in Hirschfeld, *Projective
+Geometries over Finite Fields*, 1998).  The residue of a canonical row
+needs no reduction to serve as a key: only non-units lie left of its unit
+pivot 1, so mod p it is already 1 at its first nonzero entry, which is how
+the span points are normalised too.
+
 Completeness is computed along two independent routes and cross-checked:
 directly (no point extends the set) and via the residue-field projections
 (the set is complete iff at least one component projection is complete over
@@ -18,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import zps
 from .errors import (
@@ -67,12 +80,26 @@ class PointSet:
         return len(self.points)
 
 
-def _stack_has_rank(points: Sequence[Subspace], ring: Ring, n: int, want: int) -> bool:
-    for ci, comp in enumerate(ring.components):
-        rows = [p.canons[ci][0] for p in points]
-        if zps.rank_mod_p(rows, n, comp.prime) != want:
-            return False
-    return True
+def _rows(points: Iterable[Subspace]) -> list[list[tuple[int, ...]]]:
+    """Each point's canonical row in every component."""
+    return [[canon[0] for canon in pt.canons] for pt in points]
+
+
+def _reduce(stack: Sequence[Sequence[tuple[int, ...]]], primes: Sequence[int]) -> tuple:
+    """A stack of points (as ``_rows``) reduced mod p once per component.
+
+    Gives one ``zps.echelon_add_mod_p`` basis per component, or None in a
+    component where the stack's rows are dependent.
+    """
+    reduced = []
+    for ci, p in enumerate(primes):
+        basis = ()
+        for rows in stack:
+            basis = zps.echelon_add_mod_p(basis, rows[ci], p)
+            if basis is None:
+                break
+        reduced.append(basis)
+    return tuple(reduced)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,15 +131,28 @@ _CAP = _Kind("cap", "a", 3, 3, NotACapError)
 
 
 def _in_general_position(ps: PointSet, kind: _Kind) -> bool:
+    """Every k points (all, when fewer) are independent in every component.
+
+    Each (k-1)-subset S is reduced once and only the points after max(S)
+    are tested against it, so each k-subset is checked exactly once.
+    """
     kind.check_ambient(ps.ambient)
     k = kind.size(ps.ambient)
-    pts = ps.points
-    if len(pts) < k:
-        return _stack_has_rank(pts, ps.ring, ps.ambient, len(pts))
-    return all(
-        _stack_has_rank(subset, ps.ring, ps.ambient, k)
-        for subset in itertools.combinations(pts, k)
-    )
+    primes = [c.prime for c in ps.ring.components]
+    rows = _rows(ps.points)
+    if len(rows) < k:
+        return None not in _reduce(rows, primes)
+    for subset in itertools.combinations(range(len(rows) - 1), k - 1):
+        reduced = _reduce([rows[i] for i in subset], primes)
+        if None in reduced:
+            return False
+        for crows in rows[subset[-1] + 1 :]:
+            if any(
+                zps.echelon_add_mod_p(basis, row, p) is None
+                for basis, row, p in zip(reduced, crows, primes)
+            ):
+                return False
+    return True
 
 
 def is_arc(ps: PointSet) -> bool:
@@ -136,32 +176,45 @@ def project_point_set(ps: PointSet, i: int) -> PointSet:
     p = comp.prime
     out = {}
     for pt in ps.points:
-        row = tuple(x % p for x in pt.canons[i][0])
-        canon, piv = zps.rref_unit((row,), ps.ambient, p, p)
-        key = (canon,)
+        # a canonical row's residue is 1 at its pivot and 0 left of it:
+        # already its own RREF over F_p
+        key = ((tuple([x % p for x in pt.canons[i][0]]),),)
         if key in out:
             raise DomainError("projected points collide; set is degenerate")
-        out[key] = Subspace(field, ps.ambient, 1, key, (piv,))
+        out[key] = Subspace(field, ps.ambient, 1, key, (pt.pivots[i],))
     return PointSet.of(field, ps.ambient, out.values())
 
 
-def _admits(ps: PointSet, cand: Subspace, k: int) -> bool:
-    """Adding cand keeps every k points (all, when fewer) in general position."""
-    pts = ps.points
-    if len(pts) + 1 <= k:
-        return _stack_has_rank(pts + (cand,), ps.ring, ps.ambient, len(pts) + 1)
-    return all(
-        _stack_has_rank(subset + (cand,), ps.ring, ps.ambient, k)
-        for subset in itertools.combinations(pts, k - 1)
-    )
+def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
+    """Points, in canonical order, whose addition keeps the set admissible.
 
-
-def _extensions(ps: PointSet, k: int, budget: int) -> Iterator[Subspace]:
-    """Points, in canonical order, whose addition keeps the set admissible."""
-    existing = {p.canons for p in ps.points}
-    for cand in enumerate_points(ps.ambient, ps.ring, budget):
-        if cand.canons not in existing and _admits(ps, cand, k):
-            yield cand
+    Covers spans as the module docstring says: the span points mod p of
+    each stack go into its component's blocked set, and a point is kept
+    when its residue key is blocked in no component.  The set's own points
+    are blocked by the stacks that hold them.  A stack that is dependent in
+    some component admits nothing, and neither does a component whose
+    blocked set holds its whole field.
+    """
+    n = ps.ambient
+    points = enumerate_points(n, ps.ring, budget)
+    primes = [c.prime for c in ps.ring.components]
+    rows = _rows(ps.points)
+    blocked: list[set[tuple[int, ...]]] = [set() for _ in primes]
+    for stack in itertools.combinations(rows, min(len(rows), k - 1)):
+        for basis, p, keys in zip(_reduce(stack, primes), primes, blocked):
+            if basis is None:
+                return []
+            keys.update(zps.span_points_mod_p(basis, p))
+            if len(keys) == (p**n - 1) // (p - 1):
+                return []
+    return [
+        c
+        for c in points
+        if not any(
+            tuple([x % p for x in canon[0]]) in keys
+            for canon, p, keys in zip(c.canons, primes, blocked)
+        )
+    ]
 
 
 # _extend, _is_complete and _search_max take the public is_arc / is_cap as an
@@ -177,9 +230,9 @@ def _extend(ps: PointSet, kind: _Kind, is_kind, budget: int) -> list[Subspace]:
 def _is_complete(ps: PointSet, kind: _Kind, is_kind, budget: int) -> bool:
     kind.require(is_kind(ps))
     k = kind.size(ps.ambient)
-    direct = not any(_extensions(ps, k, budget))
+    direct = not _extensions(ps, k, budget)
     by_projection = any(
-        not any(_extensions(project_point_set(ps, i), k, budget))
+        not _extensions(project_point_set(ps, i), k, budget)
         for i in range(ps.ring.ell)
     )
     if direct != by_projection:
@@ -314,22 +367,14 @@ def _search(
     """
     pool = base + candidates
     primes = [c.prime for c in ring.components]
-    rows = [[canon[0] for canon in pt.canons] for pt in pool]
+    rows = _rows(pool)
     memo: dict[tuple[int, ...], list] = {}
 
     def admissible(stack: tuple[int, ...], rest: int) -> int:
         """The bits c of rest (or more) for which stack + (c,) has full rank."""
         entry = memo.get(stack)
         if entry is None:
-            reduced = []
-            for ci, p in enumerate(primes):
-                basis = ()
-                for i in stack:
-                    basis = zps.echelon_add_mod_p(basis, rows[i][ci], p)
-                    if basis is None:
-                        break
-                reduced.append(basis)
-            entry = memo[stack] = [tuple(reduced), 0, 0]
+            entry = memo[stack] = [_reduce([rows[i] for i in stack], primes), 0, 0]
         reduced, tested, passed = entry
         untested = rest & ~tested
         if untested and None not in reduced:
@@ -380,12 +425,7 @@ def _search_max(
     if not is_kind(base_set):
         raise AssertionError("the pinned frame is not admissible; this is a bug")
     k = kind.size(n)
-    pinned = {p.canons for p in base}
-    candidates = [
-        c
-        for c in enumerate_points(n, ring, budget)
-        if c.canons not in pinned and _admits(base_set, c, k)
-    ]
+    candidates = _extensions(base_set, k, budget)
     best = _search(list(base_set.points), candidates, k, ring, n, budget)
     return PointSet.of(ring, n, best)
 

@@ -64,9 +64,8 @@ def _is_unimodular_vector(rows: Sequence[Sequence[int]], ring: Ring) -> bool:
 
 
 def point_sort_key(p: Subspace):
-    return tuple(
-        tuple(c[0][j] for c in p.canons) for j in range(p.ambient)
-    )
+    """A point's canonical rows read column by column, all components per column."""
+    return tuple(zip(*[c[0] for c in p.canons]))
 
 
 def _canonical_rows(n: int, p: int, pe: int) -> Iterator[tuple[tuple[int, ...], int]]:

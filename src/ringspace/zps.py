@@ -91,6 +91,32 @@ def echelon_add_mod_p(basis, row, p: int):
     return None
 
 
+def span_points_mod_p(basis, p: int) -> list[tuple[int, ...]]:
+    """The points of a mod-p echelon basis's span, each 1 at its first nonzero entry.
+
+    ``basis`` is as for ``echelon_add_mod_p``.  Each of its rows is 1 at its
+    pivot and 0 left of it, so once the rows are ordered by pivot, a
+    combination whose first nonzero coefficient is 1 is already 1 at its
+    first nonzero entry, and distinct such combinations are distinct
+    points.  The points are row i plus any combination of the rows after
+    it: (p^r - 1)/(p - 1) of them for r rows, none scaled after the fact.
+    """
+    rows = [row for _, row in sorted(basis, reverse=True)]
+    if not rows:
+        return []
+    points: list[tuple[int, ...]] = []
+    tail = [(0,) * len(rows[0])]  # every combination of the rows taken so far
+    for i, row in enumerate(rows):
+        points += [tuple([(a + b) % p for a, b in zip(row, t)]) for t in tail]
+        if i + 1 < len(rows):
+            tail = [
+                tuple([(c * a + b) % p for a, b in zip(row, t)])
+                for c in range(p)
+                for t in tail
+            ]
+    return points
+
+
 def rref_unit(rows, ncols: int, p: int, pe: int):
     """Canonical reduced row echelon form with unit pivots over Z_{p^s}.
 

@@ -1,6 +1,7 @@
 """Arcs and caps: verification, projections, completeness, tables, search."""
 
 import itertools
+import random
 
 import pytest
 
@@ -26,7 +27,7 @@ from ringspace import (
     search_max_arc,
     search_max_cap,
 )
-from ringspace import geometry
+from ringspace import geometry, zps
 
 
 def all_arcs(ring, n, limit=None):
@@ -64,6 +65,46 @@ def all_caps(ring, n, limit=None):
     return found
 
 
+def _stack_has_rank(points, ring, n, want):
+    """Reference: the stack has residue rank ``want`` in every component."""
+    for ci, comp in enumerate(ring.components):
+        rows = [p.canons[ci][0] for p in points]
+        if zps.rank_mod_p(rows, n, comp.prime) != want:
+            return False
+    return True
+
+
+def _admits(ps, cand, k):
+    """Reference: adding cand keeps every k points (all, when fewer) in
+    general position, by one rank test per (k-1)-subset."""
+    pts = ps.points
+    if len(pts) + 1 <= k:
+        return _stack_has_rank(pts + (cand,), ps.ring, ps.ambient, len(pts) + 1)
+    return all(
+        _stack_has_rank(subset + (cand,), ps.ring, ps.ambient, k)
+        for subset in itertools.combinations(pts, k - 1)
+    )
+
+
+def _ref_extensions(ps, k):
+    existing = {p.canons for p in ps.points}
+    return [
+        c
+        for c in enumerate_points(ps.ambient, ps.ring)
+        if c.canons not in existing and _admits(ps, c, k)
+    ]
+
+
+def _ref_in_general_position(ps, k):
+    pts = ps.points
+    if len(pts) < k:
+        return _stack_has_rank(pts, ps.ring, ps.ambient, len(pts))
+    return all(
+        _stack_has_rank(subset, ps.ring, ps.ambient, k)
+        for subset in itertools.combinations(pts, k)
+    )
+
+
 def _full_check_search(base, candidates, k, ring, n):
     """The search without forward checking: every node tests each later
     candidate against all of current.  Returns the best set and the nodes."""
@@ -76,7 +117,7 @@ def _full_check_search(base, candidates, k, ring, n):
         if len(current) > len(best):
             best = list(current)
         for i, cand in enumerate(cands):
-            if geometry._admits(PointSet(ring, n, tuple(current)), cand, k):
+            if _admits(PointSet(ring, n, tuple(current)), cand, k):
                 dfs(current + [cand], cands[i + 1 :])
 
     dfs(list(base), candidates)
@@ -145,6 +186,19 @@ class TestProjection:
         with pytest.raises(DomainError):
             project_point_set(ps, 0)
 
+    @pytest.mark.parametrize("name,n", [("Z4", 3), ("Z9", 3), ("Z12", 3), ("Z2xZ3", 3)])
+    def test_projection_matches_rref_route(self, name, n):
+        """Each point projects to its residue row reduced by ``rref_unit``."""
+        ring = parse_ring(name)
+        for pt in enumerate_points(n, ring):
+            for i, comp in enumerate(ring.components):
+                p = comp.prime
+                field = parse_ring(f"Z{p}")
+                row = tuple(x % p for x in pt.canons[i][0])
+                canon, piv = zps.rref_unit((row,), n, p, p)
+                want = PointSet.of(field, n, [Subspace(field, n, 1, (canon,), (piv,))])
+                assert project_point_set(PointSet.of(ring, n, [pt]), i) == want
+
     def test_every_arc_projects_to_arcs_of_equal_size(self, z6):
         for ps in all_arcs(z6, 2):
             for i in range(z6.ell):
@@ -186,6 +240,45 @@ class TestCompleteness:
             if len(ps.points) == 0:
                 continue
             is_complete_cap(ps)
+
+
+# spaces for the query equivalence test: fields, chain rings and products,
+# with one residue field or several
+QUERY_SPACES = [
+    ("Z2", 4), ("Z4", 3), ("Z6", 3), ("Z8", 3), ("Z9", 3), ("Z12", 3),
+    ("Z15", 3), ("Z5xZ5", 3), ("Z35", 2), ("Z5", 4), ("Z2xZ3", 4),
+]
+
+
+@pytest.mark.parametrize("name,n", QUERY_SPACES)
+def test_queries_match_rank_reference(name, n):
+    """Extension, completeness and membership queries give the answers of
+    rank-testing every candidate against every (k-1)-subset, on seeded
+    greedy complete sets and their prefixes."""
+    ring = parse_ring(name)
+    points = enumerate_points(n, ring)
+    rng = random.Random(f"{name}^{n}")
+    kinds = [(n, extend_arc, is_complete_arc, is_arc)]
+    if n >= 3:
+        kinds.append((3, extend_cap, is_complete_cap, is_cap))
+    for k, extend, is_complete, is_kind in kinds:
+        order = list(points)
+        rng.shuffle(order)
+        full = []
+        for c in order:
+            if _admits(PointSet(ring, n, tuple(full)), c, k):
+                full.append(c)
+        for prefix in (full, full[:-1], full[: (len(full) + 1) // 2], full[:1], []):
+            ps = PointSet.of(ring, n, prefix)
+            want = [p.canons for p in _ref_extensions(ps, k)]
+            assert [p.canons for p in extend(ps)] == want
+            assert is_complete(ps) == (not want)
+        # random (n+2)-subsets, and (k-1)-subsets for the small-set rule
+        for _ in range(20):
+            near_full = full + rng.sample(points, 2)
+            for size, pool in itertools.product((n + 2, k - 1), (points, near_full)):
+                sample = PointSet.of(ring, n, rng.sample(pool, min(len(pool), size)))
+                assert is_kind(sample) == _ref_in_general_position(sample, k)
 
 
 class TestSizeTables:
@@ -301,7 +394,7 @@ class TestSearch:
         candidates = [
             c
             for c in enumerate_points(n, ring)
-            if c.canons not in pinned and geometry._admits(base_set, c, k)
+            if c.canons not in pinned and _admits(base_set, c, k)
         ]
         want, nodes = _full_check_search(base, candidates, k, ring, n)
         got = geometry._search(base, candidates, k, ring, n, nodes)

@@ -20,7 +20,13 @@ from ringspace import (
     verify_counts,
 )
 from ringspace import zps
-from ringspace.oracle import DEFAULT_BUDGET, SuiteItem, extend_subspace, iter_vectors
+from ringspace.oracle import (
+    DEFAULT_BUDGET,
+    SuiteItem,
+    extend_subspace,
+    iter_vectors,
+    point_sort_key,
+)
 
 
 def _extend_and_dedup_levels(n, ring):
@@ -83,6 +89,16 @@ class TestPoints:
         assert all(p.ring == ring and p.ambient == n and p.dim == 1 for p in got)
         with pytest.raises(BudgetExceededError):
             enumerate_points(n, ring, budget=ring.order**n - 1)
+
+    @pytest.mark.parametrize(
+        "name,n", [("Z4", 3), ("Z12", 3), ("Z2xZ3", 4), ("Z5xZ25", 2)]
+    )
+    def test_sort_key_matches_column_key(self, name, n):
+        """The key equals one built column by column, every component's
+        entry in each column."""
+        for p in enumerate_points(n, parse_ring(name)):
+            want = tuple(tuple(c[0][j] for c in p.canons) for j in range(p.ambient))
+            assert point_sort_key(p) == want
 
     def test_point_counts(self, z4, z2, z9):
         assert len(enumerate_points(2, z4)) == 6

@@ -8,10 +8,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ringspace.errors import NotFullRankError, NotInvertibleError
 from ringspace.zps import (
     completion,
+    echelon_add_mod_p,
     howell,
     howell_pivot_vals,
     identity,
@@ -22,6 +24,7 @@ from ringspace.zps import (
     module_size,
     rank_mod_p,
     rref_unit,
+    span_points_mod_p,
     val,
 )
 
@@ -228,3 +231,57 @@ def test_inverse_seeded_4x4(p, s):
             with pytest.raises(NotInvertibleError):
                 inverse(a, p, pe)
     assert seen_invertible > 5
+
+
+@st.composite
+def stacks_mod_p(draw):
+    """(p, n, rows): rows over Z_{p^s}, sometimes ending in a combination
+    of the rows before it mod p, so dependent stacks come up often."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    pe = p ** draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, pe - 1), min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=n + 1))
+    if rows and draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
+    return p, n, rows
+
+
+@given(stacks_mod_p())
+def test_echelon_fold_agrees_with_rank(case):
+    """Folding the rows gives None exactly when the rank mod p is short."""
+    p, n, rows = case
+    basis = ()
+    for row in rows:
+        basis = echelon_add_mod_p(basis, row, p)
+        if basis is None:
+            break
+    assert (basis is None) == (rank_mod_p(rows, n, p) < len(rows))
+    if basis is not None:
+        assert len(basis) == len(rows)
+
+
+@given(stacks_mod_p())
+def test_span_points_match_coefficient_scan(case):
+    """The span points are the nonzero combinations of the stack's rows,
+    each scaled to 1 at its first nonzero entry, once each."""
+    p, n, rows = case
+    basis = ()
+    kept = []
+    for row in rows:
+        grown = echelon_add_mod_p(basis, row, p)
+        if grown is not None:
+            basis = grown
+            kept.append(row)
+    points = span_points_mod_p(basis, p)
+    r = len(kept)
+    assert len(points) == len(set(points)) == (p**r - 1) // (p - 1)
+    want = set()
+    for coeffs in itertools.product(range(p), repeat=r):
+        v = [sum(c * row[j] for c, row in zip(coeffs, kept)) % p for j in range(n)]
+        lead = next((x for x in v if x), 0)
+        if lead:
+            inv = pow(lead, -1, p)
+            want.add(tuple(x * inv % p for x in v))
+    assert set(points) == want
