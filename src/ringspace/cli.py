@@ -17,6 +17,7 @@ from .geometry import PointSet
 from .matrix import completion, gl_inverse, mccoy_rank, right_inverse
 from .oracle import (
     DEFAULT_BUDGET,
+    SUITES,
     enumerate_mt_subspaces,
     enumerate_subspaces,
     verify_counts,
@@ -32,8 +33,6 @@ from .subspace import (
     join,
     meet,
 )
-
-SEARCH_BUDGET = 10**7
 
 
 def _ring(args) -> Ring:
@@ -235,7 +234,7 @@ def _cmd_extend(args):
 
 def _cmd_search(args):
     search = _kind_fn(args, "search_max_{}")
-    ps = search(args.n, _ring(args), _budget(args, SEARCH_BUDGET))
+    ps = search(args.n, _ring(args), _budget(args, geometry.SEARCH_BUDGET))
     return {
         "size": len(ps.points),
         "points": serialize.pointset_to_json(ps.points),
@@ -388,11 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.set_defaults(handler=handler)
     p = top.add_parser("verify", help="formula vs enumeration suites")
     p.add_argument(_OUTPUT[0], **_OUTPUT[1])
-    p.add_argument(
-        "--suite",
-        choices=["default", "counts", "geometry", "algebra"],
-        default="default",
-    )
+    p.add_argument("--suite", choices=["default", *SUITES], default="default")
     p.set_defaults(handler=_cmd_verify)
     return parser
 

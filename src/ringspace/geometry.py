@@ -326,8 +326,7 @@ def max_cap_size_formula(n: int, ring: Ring) -> int | None:
 # -- exact search ----------------------------------------------------------------
 
 
-def _unit_rows(count: int, n: int) -> list[list[int]]:
-    return [[1 if j == i else 0 for j in range(n)] for i in range(count)]
+SEARCH_BUDGET = 10**7
 
 
 def _search(
@@ -418,21 +417,19 @@ def _search(
 
 
 def _search_max(
-    base_rows: list[list[int]], n: int, ring: Ring, kind: _Kind, is_kind, budget: int
+    frame: Sequence[Sequence[int]], ring: Ring, kind: _Kind, is_kind, budget: int
 ) -> PointSet:
-    base = [Subspace.from_matrix(Matrix.from_entries(ring, [row])) for row in base_rows]
-    base_set = PointSet.of(ring, n, base)
+    base_set = PointSet.from_rows(ring, frame)
     if not is_kind(base_set):
         raise AssertionError("the pinned frame is not admissible; this is a bug")
+    n = base_set.ambient
     k = kind.size(n)
     candidates = _extensions(base_set, k, budget)
     best = _search(list(base_set.points), candidates, k, ring, n, budget)
     return PointSet.of(ring, n, best)
 
 
-def search_max_arc(
-    n: int, ring: Ring, budget: int = 10**7
-) -> PointSet:
+def search_max_arc(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     """A maximum arc of R^n found by exhaustive symmetry-reduced search.
 
     Any arc larger than n points can be carried by a change of basis onto
@@ -442,12 +439,10 @@ def search_max_arc(
     maximum, not a heuristic.
     """
     _ARC.check_ambient(n)
-    return _search_max(_unit_rows(n, n) + [[1] * n], n, ring, _ARC, is_arc, budget)
+    return _search_max(zps.identity(n) + ((1,) * n,), ring, _ARC, is_arc, budget)
 
 
-def search_max_cap(
-    n: int, ring: Ring, budget: int = 10**7
-) -> PointSet:
+def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     """A maximum cap of R^n by exhaustive search with the first 3 points pinned.
 
     Any cap of 3 or more points can be carried onto one containing the
@@ -455,4 +450,4 @@ def search_max_cap(
     pinning them preserves the maximum size.
     """
     _CAP.check_ambient(n)
-    return _search_max(_unit_rows(3, n), n, ring, _CAP, is_cap, budget)
+    return _search_max(zps.identity(n)[:3], ring, _CAP, is_cap, budget)

@@ -29,10 +29,10 @@ from .counting import (
     count_subspaces_over,
 )
 from .errors import BudgetExceededError
-from .matrix import Matrix, mccoy_rank
-from .ring import Element, Ring
+from .matrix import Matrix, completion, extend_to_basis, mccoy_rank, right_inverse
+from .ring import Element, Ring, parse_ring
 from .singular import SingularSpace, type_of
-from .subspace import Subspace
+from .subspace import Subspace, dimension_formula_status, dual
 
 DEFAULT_BUDGET = 10**6
 
@@ -218,19 +218,13 @@ def count_full_rank_enumerated(
     if m == 0:
         return 1
     tick = _Budget(budget)
-    spaces = [
-        itertools.product(range(c.order), repeat=m * n) for c in ring.components
-    ]
     total = 0
-    for flat in itertools.product(*spaces):
+    for flat in iter_vectors(m * n, ring):
         tick.spend()
-        ok = True
-        for comp_flat, c in zip(flat, ring.components):
-            rows = [comp_flat[i * n : (i + 1) * n] for i in range(m)]
-            if zps.rank_mod_p(rows, n, c.prime) != m:
-                ok = False
-                break
-        if ok:
+        if all(
+            zps.rank_mod_p([row[i * n : (i + 1) * n] for i in range(m)], n, c.prime) == m
+            for row, c in zip(flat, ring.components)
+        ):
             total += 1
     return total
 
@@ -293,14 +287,21 @@ def _det(a: Matrix, idx_rows: Sequence[int], idx_cols: Sequence[int]) -> Element
     return Element(a.ring, tuple(parts))
 
 
-def mccoy_rank_oracle(a: Matrix, max_order: int = 64, max_side: int = 3) -> int:
+# mccoy_rank_oracle scans every ring element against every minor, so it
+# refuses rings and matrices past these sizes.
+ORACLE_MAX_ORDER = 64
+ORACLE_MAX_SIDE = 3
+
+
+def mccoy_rank_oracle(a: Matrix) -> int:
     """Definitional McCoy rank: largest k whose k x k minors have trivial annihilator.
 
     Scans every ring element as an annihilator candidate, so it is guarded to
-    small rings and narrow matrices.
+    rings of at most ORACLE_MAX_ORDER elements and matrices with a side of at
+    most ORACLE_MAX_SIDE.
     """
     ring = a.ring
-    if ring.order > max_order or min(a.rows, a.cols) > max_side:
+    if ring.order > ORACLE_MAX_ORDER or min(a.rows, a.cols) > ORACLE_MAX_SIDE:
         raise BudgetExceededError("oracle guard: ring or matrix too large")
     nonzero = [x for x in ring.elements() if not x.is_zero()]
     best = 0
@@ -333,120 +334,20 @@ class EnumerationReport:
 
 @dataclass(frozen=True, slots=True)
 class SuiteItem:
+    """One check: ``formula(*args)`` must equal ``enumerate(*args)``."""
+
     query: str
-    formula: Callable[[], int]
-    enumerate: Callable[[], int]
+    formula: Callable[..., int]
+    enumerate: Callable[..., int]
+    args: tuple = ()
 
 
-def _census_items(rings: dict[str, Ring], max_n: int) -> list[SuiteItem]:
-    items = []
-    for name, ring in rings.items():
-        for n in range(max_n + 1):
-            for m in range(n + 1):
-                items.append(
-                    SuiteItem(
-                        f"subspaces m={m} n={n} over {name}",
-                        (lambda m=m, n=n, r=ring: count_subspaces(m, n, r)),
-                        (
-                            lambda m=m, n=n, r=ring: len(
-                                enumerate_subspaces(m, n, r)
-                            )
-                        ),
-                    )
-                )
-    return items
+def _rings(*names: str) -> list[tuple[str, Ring]]:
+    return [(name, parse_ring(name)) for name in names]
 
 
-def _rings(names: Sequence[str]) -> dict[str, Ring]:
-    from .ring import parse_ring
-
-    return {name: parse_ring(name) for name in names}
-
-
-def counts_suite() -> list[SuiteItem]:
-    rings = _rings(["Z2", "Z3", "Z4", "Z6", "Z8", "Z9", "Z2xZ2", "Z12"])
-    items = _census_items(rings, 3)
-    small = _rings(["Z4", "Z6"])
-    for name, ring in small.items():
-        for n in range(4):
-            for m in range(n + 1):
-                for m1 in range(m + 1):
-                    items.append(
-                        SuiteItem(
-                            f"subspaces m1={m1} inside m={m} n={n} over {name}",
-                            (
-                                lambda m1=m1, m=m, n=n, r=ring: count_subspaces_in(
-                                    m1, m, n, r
-                                )
-                            ),
-                            (
-                                lambda m1=m1, m=m, n=n, r=ring: _count_inside(
-                                    m1, m, n, r
-                                )
-                            ),
-                        )
-                    )
-                    items.append(
-                        SuiteItem(
-                            f"subspaces m={m} over m1={m1} n={n} in {name}",
-                            (
-                                lambda m1=m1, m=m, n=n, r=ring: count_subspaces_over(
-                                    m1, m, n, r
-                                )
-                            ),
-                            (
-                                lambda m1=m1, m=m, n=n, r=ring: _count_over(
-                                    m1, m, n, r
-                                )
-                            ),
-                        )
-                    )
-        for mn in [(1, 1), (1, 2), (2, 2)]:
-            m, n = mn
-            items.append(
-                SuiteItem(
-                    f"full-rank {m}x{n} matrices over {name}",
-                    (lambda m=m, n=n, r=ring: count_full_rank(m, n, r)),
-                    (lambda m=m, n=n, r=ring: count_full_rank_enumerated(m, n, r)),
-                )
-            )
-        items.append(
-            SuiteItem(
-                f"GL_2 over {name}",
-                (lambda r=ring: count_gl(2, r)),
-                (lambda r=ring: count_full_rank_enumerated(2, 2, r)),
-            )
-        )
-    z2 = _rings(["Z2"])["Z2"]
-    for m, n in [(1, 3), (2, 3), (3, 3)]:
-        items.append(
-            SuiteItem(
-                f"full-rank {m}x{n} matrices over Z2",
-                (lambda m=m, n=n: count_full_rank(m, n, z2)),
-                (lambda m=m, n=n: count_full_rank_enumerated(m, n, z2)),
-            )
-        )
-    for name, ring in _rings(["Z2", "Z4"]).items():
-        for n in range(0, 3):
-            for k in range(1, 3 - n + 1):
-                for m in range(n + k + 1):
-                    for t in range(min(m, k) + 1):
-                        items.append(
-                            SuiteItem(
-                                f"({m},{t})-subspaces of {name}^({n}+{k})",
-                                (
-                                    lambda m=m, t=t, n=n, k=k, r=ring: count_mt_subspaces(
-                                        m, t, n, k, r
-                                    )
-                                ),
-                                (
-                                    lambda m=m, t=t, n=n, k=k, r=ring: len(
-                                        enumerate_mt_subspaces(m, t, n, k, r)
-                                    )
-                                ),
-                            )
-                        )
-    return items
+def _count_enumerated(m: int, n: int, ring: Ring) -> int:
+    return len(enumerate_subspaces(m, n, ring))
 
 
 def _count_inside(m1: int, m: int, n: int, ring: Ring) -> int:
@@ -465,153 +366,193 @@ def _count_over(m1: int, m: int, n: int, ring: Ring) -> int:
     return sum(1 for s in enumerate_subspaces(m, n, ring) if s.contains(fixed))
 
 
-def algebra_suite() -> list[SuiteItem]:
-    from .matrix import completion, extend_to_basis, right_inverse
-    from .subspace import dimension_formula_status, dual
+def _gl_enumerated(n: int, ring: Ring) -> int:
+    return count_full_rank_enumerated(n, n, ring)
 
-    rings = _rings(["Z4", "Z6"])
 
-    def rank_agreement(ring: Ring) -> int:
-        agree = 0
-        for rows in iter_vectors(4, ring):
-            comps = tuple((r[:2], r[2:]) for r in rows)
-            a = Matrix(ring, 2, 2, comps)
-            if mccoy_rank(a) == mccoy_rank_oracle(a):
-                agree += 1
-        return agree
+def _mt_enumerated(m: int, t: int, n: int, k: int, ring: Ring) -> int:
+    return len(enumerate_mt_subspaces(m, t, n, k, ring))
 
-    def completion_sweep(ring: Ring) -> int:
-        ok = 0
-        eye = Matrix.identity(ring, 2)
-        for rows in iter_vectors(4, ring):
-            comps = tuple((r[:2], r[2:]) for r in rows)
-            a = Matrix(ring, 2, 2, comps)
-            if mccoy_rank(a) != 2:
-                ok += 1  # vacuously fine; counted to keep totals aligned
-                continue
-            s = completion(a)
-            good = a.mul(s).comps == eye.comps
-            good = good and a.mul(right_inverse(a)).comps == eye.comps
-            # square case: extending a basis of R^2 returns the matrix itself
-            good = good and extend_to_basis(a).comps == a.comps
-            if good:
-                ok += 1
-        return ok
 
-    def dim_formula_sweep(ring: Ring) -> int:
-        subs = []
-        for m in range(3):
-            subs.extend(enumerate_subspaces(m, 2, ring))
-        ok = 0
-        for a in subs:
-            for b in subs:
-                # returning at all certifies the three-way equivalence;
-                # the status function asserts it internally
-                dimension_formula_status(a, b)
-                ok += 1
-        return ok
-
-    def dual_sweep(ring: Ring) -> int:
-        ok = 0
-        for m in range(3):
-            for s in enumerate_subspaces(m, 2, ring):
-                d = dual(s)
-                if d.dim == 2 - s.dim and dual(d) == s:
-                    ok += 1
-        return ok
-
-    items = []
-    for name, ring in rings.items():
-        total = ring.order**4
-        items.append(
-            SuiteItem(
-                f"mccoy rank formula vs oracle, all 2x2 over {name}",
-                (lambda t=total: t),
-                (lambda r=ring: rank_agreement(r)),
-            )
+def counts_suite() -> list[SuiteItem]:
+    items = [
+        SuiteItem(
+            f"subspaces m={m} n={n} over {name}",
+            count_subspaces, _count_enumerated, (m, n, ring),
         )
-        items.append(
+        for name, ring in _rings("Z2", "Z3", "Z4", "Z6", "Z8", "Z9", "Z2xZ2", "Z12")
+        for n in range(4)
+        for m in range(n + 1)
+    ]
+    for name, ring in _rings("Z4", "Z6"):
+        for n in range(4):
+            for m in range(n + 1):
+                for m1 in range(m + 1):
+                    items += [
+                        SuiteItem(
+                            f"subspaces m1={m1} inside m={m} n={n} over {name}",
+                            count_subspaces_in, _count_inside, (m1, m, n, ring),
+                        ),
+                        SuiteItem(
+                            f"subspaces m={m} over m1={m1} n={n} in {name}",
+                            count_subspaces_over, _count_over, (m1, m, n, ring),
+                        ),
+                    ]
+        items += [
             SuiteItem(
-                f"completion postconditions, all 2x2 over {name}",
-                (lambda t=total: t),
-                (lambda r=ring: completion_sweep(r)),
+                f"full-rank {m}x{n} matrices over {name}",
+                count_full_rank, count_full_rank_enumerated, (m, n, ring),
             )
+            for m, n in [(1, 1), (1, 2), (2, 2)]
+        ]
+        items.append(SuiteItem(f"GL_2 over {name}", count_gl, _gl_enumerated, (2, ring)))
+    z2 = parse_ring("Z2")
+    items += [
+        SuiteItem(
+            f"full-rank {m}x{n} matrices over Z2",
+            count_full_rank, count_full_rank_enumerated, (m, n, z2),
         )
-        subs_total = (1 + count_subspaces(1, 2, ring) + 1) ** 2
-        items.append(
-            SuiteItem(
-                f"dimension formula three-way equivalence, {name}^2 pairs",
-                (lambda t=subs_total: t),
-                (lambda r=ring: dim_formula_sweep(r)),
-            )
+        for m, n in [(1, 3), (2, 3), (3, 3)]
+    ]
+    items += [
+        SuiteItem(
+            f"({m},{t})-subspaces of {name}^({n}+{k})",
+            count_mt_subspaces, _mt_enumerated, (m, t, n, k, ring),
         )
-        items.append(
-            SuiteItem(
-                f"duality involution and dimension, {name}^2",
-                (lambda r=ring: 2 + count_subspaces(1, 2, r)),
-                (lambda r=ring: dual_sweep(r)),
-            )
-        )
+        for name, ring in _rings("Z2", "Z4")
+        for n in range(3)
+        for k in range(1, 3 - n + 1)
+        for m in range(n + k + 1)
+        for t in range(min(m, k) + 1)
+    ]
     return items
+
+
+def _all_2x2(ring: Ring) -> int:
+    return ring.order**4
+
+
+def _matrices_2x2(ring: Ring) -> Iterator[Matrix]:
+    for rows in iter_vectors(4, ring):
+        yield Matrix(ring, 2, 2, tuple((r[:2], r[2:]) for r in rows))
+
+
+def _rank_agreement(ring: Ring) -> int:
+    return sum(mccoy_rank(a) == mccoy_rank_oracle(a) for a in _matrices_2x2(ring))
+
+
+def _completion_sweep(ring: Ring) -> int:
+    eye = Matrix.identity(ring, 2).comps
+    ok = 0
+    for a in _matrices_2x2(ring):
+        if mccoy_rank(a) != 2:
+            ok += 1  # vacuously fine; counted to keep totals aligned
+        elif (
+            a.mul(completion(a)).comps == eye
+            and a.mul(right_inverse(a)).comps == eye
+            # square case: extending a basis of R^2 returns the matrix itself
+            and extend_to_basis(a).comps == a.comps
+        ):
+            ok += 1
+    return ok
+
+
+def _plane_subspaces(ring: Ring) -> int:
+    """Subspaces of R^2 of every dimension."""
+    return 2 + count_subspaces(1, 2, ring)
+
+
+def _plane_pairs(ring: Ring) -> int:
+    return _plane_subspaces(ring) ** 2
+
+
+def _dim_formula_sweep(ring: Ring) -> int:
+    subs = [s for m in range(3) for s in enumerate_subspaces(m, 2, ring)]
+    for a in subs:
+        for b in subs:
+            # returning at all certifies the three-way equivalence;
+            # the status function asserts it internally
+            dimension_formula_status(a, b)
+    return len(subs) ** 2
+
+
+def _dual_sweep(ring: Ring) -> int:
+    ok = 0
+    for m in range(3):
+        for s in enumerate_subspaces(m, 2, ring):
+            d = dual(s)
+            if d.dim == 2 - s.dim and dual(d) == s:
+                ok += 1
+    return ok
+
+
+_ALGEBRA = [
+    ("mccoy rank formula vs oracle, all 2x2 over {}", _all_2x2, _rank_agreement),
+    ("completion postconditions, all 2x2 over {}", _all_2x2, _completion_sweep),
+    ("dimension formula three-way equivalence, {}^2 pairs", _plane_pairs, _dim_formula_sweep),
+    ("duality involution and dimension, {}^2", _plane_subspaces, _dual_sweep),
+]
+
+
+def algebra_suite() -> list[SuiteItem]:
+    return [
+        SuiteItem(query.format(name), formula, sweep, (ring,))
+        for name, ring in _rings("Z4", "Z6")
+        for query, formula, sweep in _ALGEBRA
+    ]
+
+
+# geometry imports this module, so these look its functions up when called.
+
+
+def _max_size_known(kind: str, n: int, ring: Ring) -> int | None:
+    from . import geometry
+
+    return getattr(geometry, f"max_{kind}_size_formula")(n, ring)
+
+
+def _max_size_found(kind: str, n: int, ring: Ring) -> int:
+    from . import geometry
+
+    return len(getattr(geometry, f"search_max_{kind}")(n, ring).points)
 
 
 def geometry_suite() -> list[SuiteItem]:
-    from .geometry import (
-        max_arc_size_formula,
-        max_cap_size_formula,
-        search_max_arc,
-        search_max_cap,
-    )
-
-    items = []
-    for name, n in [("Z4", 2), ("Z6", 2), ("Z4", 3), ("Z6", 3)]:
-        ring = _rings([name])[name]
-        items.append(
-            SuiteItem(
-                f"maximum arc size in {name}^{n}",
-                (lambda n=n, r=ring: max_arc_size_formula(n, r)),
-                (lambda n=n, r=ring: len(search_max_arc(n, r).points)),
-            )
+    cases = [
+        ("arc", "Z4", 2), ("arc", "Z6", 2), ("arc", "Z4", 3), ("arc", "Z6", 3),
+        ("cap", "Z4", 3), ("cap", "Z6", 3), ("cap", "Z2", 4),
+    ]
+    return [
+        SuiteItem(
+            f"maximum {kind} size in {name}^{n}",
+            _max_size_known, _max_size_found, (kind, n, parse_ring(name)),
         )
-    for name, n in [("Z4", 3), ("Z6", 3), ("Z2", 4)]:
-        ring = _rings([name])[name]
-        items.append(
-            SuiteItem(
-                f"maximum cap size in {name}^{n}",
-                (lambda n=n, r=ring: max_cap_size_formula(n, r)),
-                (lambda n=n, r=ring: len(search_max_cap(n, r).points)),
-            )
-        )
-    return items
+        for kind, name, n in cases
+    ]
 
 
+# In the order ``verify --suite`` lists them.
 SUITES: dict[str, Callable[[], list[SuiteItem]]] = {
     "counts": counts_suite,
-    "algebra": algebra_suite,
     "geometry": geometry_suite,
+    "algebra": algebra_suite,
 }
 
 
-def verify_counts(
-    suite: str = "default", items: Sequence[SuiteItem] | None = None
-) -> list[EnumerationReport]:
-    """Run formula-vs-enumeration checks; every report should match.
+def verify_counts(suite: str = "default") -> list[EnumerationReport]:
+    """Run a named suite's formula-vs-enumeration checks; every report should match.
 
-    ``items`` overrides the named suite, which makes the harness itself
-    testable against deliberately wrong formulas.
+    ``"default"`` runs the counts, algebra and geometry suites, in that order.
     """
-    if items is None:
-        if suite == "default":
-            items = counts_suite() + algebra_suite() + geometry_suite()
-        elif suite in SUITES:
-            items = SUITES[suite]()
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+    if suite != "default" and suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    names = ("counts", "algebra", "geometry") if suite == "default" else (suite,)
+    items = [item for name in names for item in SUITES[name]()]
     reports = []
     for item in items:
         start = time.perf_counter()
-        formula = item.formula()
-        enumerated = item.enumerate()
+        formula = item.formula(*item.args)
+        enumerated = item.enumerate(*item.args)
         elapsed = time.perf_counter() - start
         reports.append(
             EnumerationReport(

@@ -10,6 +10,7 @@ component, with arithmetic acting componentwise.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -125,6 +126,8 @@ class Ring:
                 f"expected {self.ell} residues, got {len(parts)}"
             )
         for r, c in zip(parts, self.components):
+            if isinstance(r, bool) or not isinstance(r, int):
+                raise RingParseError(f"residue {r!r} is not an integer")
             if not 0 <= r < c.order:
                 raise RingParseError(
                     f"residue {r} out of range for Z{c.order}"
@@ -183,39 +186,25 @@ class Element:
     ring: Ring
     residues: tuple[int, ...]
 
-    def _check(self, other: "Element") -> None:
+    def _componentwise(self, other: "Element", op) -> "Element":
         if self.ring != other.ring:
             raise RingMismatchError("elements come from different rings")
+        return Element(
+            self.ring,
+            tuple(
+                op(a, b) % c.order
+                for a, b, c in zip(self.residues, other.residues, self.ring.components)
+            ),
+        )
 
     def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(
-            self.ring,
-            tuple(
-                (a + b) % c.order
-                for a, b, c in zip(self.residues, other.residues, self.ring.components)
-            ),
-        )
+        return self._componentwise(other, operator.add)
 
     def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(
-            self.ring,
-            tuple(
-                (a - b) % c.order
-                for a, b, c in zip(self.residues, other.residues, self.ring.components)
-            ),
-        )
+        return self._componentwise(other, operator.sub)
 
     def __mul__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(
-            self.ring,
-            tuple(
-                (a * b) % c.order
-                for a, b, c in zip(self.residues, other.residues, self.ring.components)
-            ),
-        )
+        return self._componentwise(other, operator.mul)
 
     def __neg__(self) -> "Element":
         return Element(

@@ -103,10 +103,10 @@ def pointset_to_json(points: Sequence[Subspace]) -> list:
     return [matrix_to_json(p.display)[0] for p in points]
 
 
-def parse_point_rows(ring: Ring, obj) -> list[list]:
+def parse_point_rows(ring: Ring, obj) -> list[list[Element]]:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DomainError("point set payload must be an array of point rows")
-    return obj
+    return [[parse_element(ring, x) for x in row] for row in obj]
 
 
 def load_payload(text: str):

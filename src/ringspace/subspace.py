@@ -16,11 +16,10 @@ from . import zps
 from .errors import (
     HypothesisNotMetError,
     NotASubspaceError,
-    NotFullRankError,
     RingMismatchError,
     ShapeMismatchError,
 )
-from .matrix import Matrix, completion, mccoy_rank
+from .matrix import Matrix, completion
 from .ring import Ring
 
 Rows = tuple[tuple[int, ...], ...]
@@ -41,8 +40,6 @@ class Subspace:
         """Canonicalize a matrix of unimodular rows into a subspace."""
         if a.rows > a.cols:
             raise ShapeMismatchError("more rows than ambient dimension")
-        if mccoy_rank(a) != a.rows:
-            raise NotFullRankError("rows do not span a free direct summand")
         canons = []
         pivots = []
         for c, comp in zip(a.comps, a.ring.components):
@@ -67,25 +64,17 @@ class Subspace:
 
     def contains_vector(self, comps_row: tuple[tuple[int, ...], ...]) -> bool:
         """Membership of a vector given as one residue row per component."""
-        for row, canon, piv, comp in zip(
-            comps_row, self.canons, self.pivots, self.ring.components
-        ):
-            red = zps.reduce_against(row, canon, piv, comp.order)
-            if any(red):
-                return False
-        return True
+        return not any(
+            any(zps.reduce_against(row, canon, piv, comp.order))
+            for row, canon, piv, comp in zip(
+                comps_row, self.canons, self.pivots, self.ring.components
+            )
+        )
 
     def contains(self, other: "Subspace") -> bool:
         if self.ring != other.ring or self.ambient != other.ambient:
             raise RingMismatchError("subspaces of different spaces")
-        for o_rows, canon_rows, piv, comp in zip(
-            other.canons, self.canons, self.pivots, self.ring.components
-        ):
-            for row in o_rows:
-                red = zps.reduce_against(row, canon_rows, piv, comp.order)
-                if any(red):
-                    return False
-        return True
+        return all(self.contains_vector(vec) for vec in zip(*other.canons))
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,29 +172,27 @@ def as_subspace(l: LinearSubset) -> Subspace:
     """Promote a module to a Subspace, or raise NotASubspaceError.
 
     Needs ``l.is_free``; the basis is read off by picking Howell rows with
-    independent residues.
+    independent residues.  A free module has the same residue rank in every
+    component, so every component yields the same number of rows.
     """
     if not l.is_free:
         raise NotASubspaceError("module is not free with unimodular basis")
-    d = l.dim
-    basis_comps = []
-    for h, comp in zip(l.howells, l.ring.components):
-        picked = _residue_independent_rows(h, l.ambient, comp.prime, d)
-        basis_comps.append(picked)
-    mat = Matrix(l.ring, d, l.ambient, tuple(basis_comps))
-    return Subspace.from_matrix(mat)
+    picks = tuple(
+        _residue_independent_rows(h, comp.prime)
+        for h, comp in zip(l.howells, l.ring.components)
+    )
+    return Subspace.from_matrix(Matrix(l.ring, len(picks[0]), l.ambient, picks))
 
 
-def _residue_independent_rows(h: Rows, ncols: int, p: int, d: int) -> Rows:
-    """Greedy selection of d rows whose mod-p images are independent."""
-    picked: list[tuple[int, ...]] = []
+def _residue_independent_rows(h: Rows, p: int) -> Rows:
+    """The rows of h whose mod-p images are independent of the rows picked before."""
+    basis: tuple = ()
+    picked = []
     for row in h:
-        if len(picked) == d:
-            break
-        if zps.rank_mod_p(picked + [row], ncols, p) == len(picked) + 1:
+        grown = zps.echelon_add_mod_p(basis, row, p)
+        if grown is not None:
+            basis = grown
             picked.append(row)
-    if len(picked) != d:
-        raise NotASubspaceError("could not extract a unimodular basis")
     return tuple(picked)
 
 

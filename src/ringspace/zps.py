@@ -120,9 +120,10 @@ def span_points_mod_p(basis, p: int) -> list[tuple[int, ...]]:
 def rref_unit(rows, ncols: int, p: int, pe: int):
     """Canonical reduced row echelon form with unit pivots over Z_{p^s}.
 
-    Requires the input to have full residue rank (one unit pivot per row).
-    Pivot columns come out as the leftmost columns that carry a unit after
-    elimination, which are exactly the mod-p RREF pivot columns.  Returns
+    Requires the input to have full residue rank (one unit pivot per row)
+    and raises NotFullRankError otherwise.  Pivot columns come out as the
+    leftmost columns that carry a unit after elimination, which are exactly
+    the mod-p RREF pivot columns.  Returns
     (rows, pivot_columns); the pivot columns hold an identity block, so the
     result is the unique canonical matrix of the row span.
     """
@@ -156,7 +157,7 @@ def rref_unit(rows, ncols: int, p: int, pe: int):
         pivots.append(col)
         r += 1
     if r < m:
-        raise NotFullRankError("rows are not linearly independent")
+        raise NotFullRankError("rows do not span a free direct summand")
     return tuple(tuple(rw) for rw in work), tuple(pivots)
 
 
@@ -293,7 +294,7 @@ def completion(rows, ncols: int, p: int, pe: int) -> tuple[tuple[int, ...], ...]
                 piv = j
                 break
         if piv is None:
-            raise NotFullRankError("rows are not unimodular")
+            raise NotFullRankError("rows do not have full McCoy rank")
         if piv != r:
             for mat in (a, s_mat):
                 for rw in mat:
@@ -324,5 +325,5 @@ def inverse(rows, p: int, pe: int) -> tuple[tuple[int, ...], ...]:
     aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
     work, pivots = rref_unit(aug, 2 * n, p, pe)
     if pivots != tuple(range(n)):
-        raise NotInvertibleError("matrix is singular over the ring")
+        raise NotInvertibleError("matrix is not invertible")
     return tuple(r[n:] for r in work)

@@ -317,6 +317,25 @@ class TestGeometryCommands:
         doc = run_json(capsys, ["cap", "search", "--ring", "Z2", "-n", "4"])
         assert doc["size"] == 8
 
+    @pytest.mark.parametrize(
+        "ring,points",
+        [
+            ("Z2xZ2", "[[[true,0],[0,1]]]"),
+            ("Z2xZ2", '[[["a",1],[0,1]]]'),
+            ("Z2xZ2", "[[[1],[0]]]"),
+            ("Z4", "[[true,0]]"),
+            ("Z4", "[[1.5,0]]"),
+            ("Z4", "[[null,1]]"),
+        ],
+    )
+    def test_point_entries_read_like_matrix_entries(self, capsys, ring, points):
+        want = run(capsys, ["matrix", "rank", "--ring", ring, "--matrix", points])
+        assert want[0] == 1 and want[1] == ""
+        for group in ("arc", "cap"):
+            for command in ("check", "complete", "extend"):
+                argv = [group, command, "--ring", ring, "--points", points]
+                assert run(capsys, argv) == want
+
     def test_arc_max_known_and_unknown(self, capsys):
         doc = run_json(capsys, ["arc", "max", "--ring", "Z6", "-n", "4"])
         assert doc == {"size": 5}
@@ -363,10 +382,10 @@ class TestContract:
         assert code == 2
 
     def test_exit_code_domain(self, capsys):
-        code, _, err = run(
-            capsys, ["matrix", "invert", "--ring", "Z4", "--matrix", "[[2,0],[0,1]]"]
-        )
-        assert code == 1
+        for spec, rows in [("Z4", "[[2,0],[0,1]]"), ("Z12", "[[1,0],[0,3]]")]:
+            code, _, err = run(capsys, ["matrix", "invert", "--ring", spec, "--matrix", rows])
+            assert code == 1
+            assert err == "error: matrix is not invertible\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -387,6 +406,21 @@ class TestContract:
         code, out, _ = run(capsys, argv)
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("spec,rows", [("Z4", "[[2,0]]"), ("Z12", "[[3,0]]"),
+                                           ("Z2xZ2", "[[[1,0],[1,0]]]")])
+    @pytest.mark.parametrize(
+        "group,command,message",
+        [
+            ("matrix", "complete", "rows do not have full McCoy rank"),
+            ("matrix", "right-inverse", "rows do not have full McCoy rank"),
+            ("subspace", "canon", "rows do not span a free direct summand"),
+            ("subspace", "dual", "rows do not span a free direct summand"),
+        ],
+    )
+    def test_rank_defect_messages(self, capsys, spec, rows, group, command, message):
+        code, out, err = run(capsys, [group, command, "--ring", spec, "--matrix", rows])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert cli.main([]) == 2

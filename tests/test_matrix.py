@@ -162,11 +162,20 @@ class TestConstructiveTransforms:
             gl_inverse(ext)
             checked += 1
 
-    def test_low_rank_rejected(self, z4):
-        with pytest.raises(NotFullRankError):
-            completion(Matrix.from_entries(z4, [[2, 0]]))
-        with pytest.raises(NotFullRankError):
-            right_inverse(Matrix.from_entries(z4, [[2, 2]]))
+    def test_low_rank_rejected(self):
+        # Z12 = Z4 x Z3: [[3, 0]] is unimodular mod 4 and zero mod 3, so the
+        # second component's kernel finds the defect.
+        cases = [("Z4", [[2, 0]]), ("Z4", [[2, 2]]), ("Z12", [[3, 0]]),
+                 ("Z2xZ2", [[(1, 0), (1, 0)]])]
+        for spec, rows in cases:
+            a = Matrix.from_entries(parse_ring(spec), rows)
+            for transform in (completion, right_inverse):
+                with pytest.raises(NotFullRankError, match="^rows do not have full McCoy rank$"):
+                    transform(a)
+
+    def test_too_many_rows_rejected(self, z4):
+        with pytest.raises(ShapeMismatchError, match="^more rows than columns$"):
+            completion(Matrix.identity(z4, 2).stack(Matrix.identity(z4, 2)))
 
     def test_gl_inverse(self, z6):
         a = Matrix.from_entries(z6, [[1, 2], [3, 1]])
@@ -175,11 +184,15 @@ class TestConstructiveTransforms:
         assert a.mul(b).comps == Matrix.identity(z6, 2).comps
         assert b.mul(a).comps == Matrix.identity(z6, 2).comps
 
-    def test_gl_inverse_rejects_singular(self, z6):
-        with pytest.raises(NotInvertibleError):
-            gl_inverse(Matrix.from_entries(z6, [[2, 0], [0, 1]]))
-        with pytest.raises(ShapeMismatchError):
-            gl_inverse(Matrix.zeros(z6, 1, 2))
+    def test_gl_inverse_rejects_singular(self):
+        cases = [("Z4", [[2, 0], [0, 1]]), ("Z6", [[2, 0], [0, 1]]),
+                 ("Z12", [[1, 0], [0, 3]]), ("Z2xZ2", [[(1, 0), 0], [0, 1]])]
+        for spec, rows in cases:
+            ring = parse_ring(spec)
+            with pytest.raises(NotInvertibleError, match="^matrix is not invertible$"):
+                gl_inverse(Matrix.from_entries(ring, rows))
+            with pytest.raises(ShapeMismatchError, match="^inverse needs a square matrix$"):
+                gl_inverse(Matrix.zeros(ring, 1, 2))
 
     def test_stack_rows(self, z4):
         a = Matrix.from_entries(z4, [[1, 0]])

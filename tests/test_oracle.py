@@ -191,29 +191,30 @@ class TestFullRankEnumeration:
             )
 
 
+def _enumerated_count(m, n, ring):
+    return len(enumerate_subspaces(m, n, ring))
+
+
 class TestHarness:
-    def test_all_reports_match_on_real_items(self, z4):
-        items = [
-            SuiteItem(
-                "lines of Z4^2",
-                lambda: count_subspaces(1, 2, z4),
-                lambda: len(enumerate_subspaces(1, 2, z4)),
-            )
-        ]
-        reports = verify_counts(items=items)
+    @staticmethod
+    def _lines_of_z4_plane(monkeypatch, z4, formula):
+        from ringspace.oracle import SUITES
+
+        item = SuiteItem("lines of Z4^2", formula, _enumerated_count, (1, 2, z4))
+        monkeypatch.setitem(SUITES, "counts", lambda: [item])
+        return verify_counts("counts")
+
+    def test_all_reports_match_on_real_items(self, monkeypatch, z4):
+        reports = self._lines_of_z4_plane(monkeypatch, z4, count_subspaces)
         assert len(reports) == 1
         assert reports[0].match
         assert reports[0].formula_value == reports[0].enumerated_value == 6
 
-    def test_harness_catches_a_wrong_formula(self, z4):
-        items = [
-            SuiteItem(
-                "deliberately broken",
-                lambda: count_subspaces(1, 2, z4) + 1,
-                lambda: len(enumerate_subspaces(1, 2, z4)),
-            )
-        ]
-        reports = verify_counts(items=items)
+    def test_harness_catches_a_wrong_formula(self, monkeypatch, z4):
+        def broken(m, n, ring):
+            return count_subspaces(m, n, ring) + 1
+
+        reports = self._lines_of_z4_plane(monkeypatch, z4, broken)
         assert not reports[0].match
         assert reports[0].formula_value == 7
         assert reports[0].enumerated_value == 6
@@ -221,6 +222,14 @@ class TestHarness:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             verify_counts(suite="nope")
+
+    def test_suite_sizes_and_unique_queries(self):
+        from ringspace.oracle import SUITES
+
+        sizes = {name: len(build()) for name, build in SUITES.items()}
+        assert sizes == {"counts": 251, "algebra": 8, "geometry": 7}
+        queries = [item.query for build in SUITES.values() for item in build()]
+        assert len(queries) == len(set(queries)) == 266
 
     def test_named_suites_resolve(self):
         from ringspace.oracle import SUITES

@@ -127,6 +127,9 @@ class TestIntegerEncoding:
             z6.element((1, 3))
         with pytest.raises(RingParseError):
             z6.element((1,))
+        for bad in [(True, 0), ("a", 1), (1.5, 0), (None, 0)]:
+            with pytest.raises(RingParseError, match="is not an integer"):
+                z6.element(bad)
 
 
 @given(

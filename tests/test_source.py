@@ -18,3 +18,9 @@ def test_no_bare_assert():
     ]
     assert len(SOURCES) > 1
     assert found == []
+
+
+def test_public_names_resolve_once():
+    names = ringspace.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(ringspace, n)] == []

@@ -79,9 +79,13 @@ class TestCanonicalForm:
         assert s.dim == 1
         assert s.canons[0] == ((2, 1),)
 
-    def test_rejects_dependent_rows(self, z4):
-        with pytest.raises(NotFullRankError):
-            Subspace.from_matrix(Matrix.from_entries(z4, [[2, 0]]))
+    def test_rejects_dependent_rows(self):
+        cases = [("Z4", [[2, 0]]), ("Z4", [[1, 0], [1, 2]]), ("Z12", [[3, 0]]),
+                 ("Z2xZ2", [[(1, 0), (1, 0)]])]
+        for spec, rows in cases:
+            a = Matrix.from_entries(parse_ring(spec), rows)
+            with pytest.raises(NotFullRankError, match="^rows do not span a free direct summand$"):
+                Subspace.from_matrix(a)
 
     def test_zero_and_full(self, z6):
         z = Subspace.zero(z6, 2)
