@@ -108,9 +108,8 @@ def _cmd_subspace_canon(args):
 
 
 def _linear_subset_payload(l):
-    free = l.is_free
-    out = serialize.linear_subset_to_json(l, free)
-    out["canonical"] = serialize.subspace_to_json(as_subspace(l)) if free else None
+    out = serialize.linear_subset_to_json(l)
+    out["canonical"] = serialize.subspace_to_json(as_subspace(l)) if out["free"] else None
     return out
 
 

@@ -18,16 +18,10 @@ from .ring import Ring
 def count_full_rank(m: int, n: int, ring: Ring) -> int:
     """Number of m x n matrices over R with McCoy rank m.
 
-    |R|^{m(m-1)/2} * prod_j prod_{i=0}^{m-1} (|R_j|^{n-i} - |M_j|^{n-i}).
+    |R|^{m(m-1)/2} * prod_j prod_{i=0}^{m-1} (|R_j|^{n-i} - |M_j|^{n-i}),
+    the extension count from no fixed rows.
     """
-    if m < 0 or n < 0 or m > n:
-        return 0
-    out = ring.order ** (m * (m - 1) // 2)
-    for c in ring.components:
-        rj, mj = c.order, c.maximal_ideal_order
-        for i in range(m):
-            out *= rj ** (n - i) - mj ** (n - i)
-    return out
+    return count_full_rank_extension(0, m, n, ring)
 
 
 def count_gl(n: int, ring: Ring) -> int:
@@ -104,17 +98,9 @@ def count_mt_subspaces(m: int, t: int, n: int, k: int, ring: Ring) -> int:
     An (m, t)-subspace is an m-subspace P with P meet E a t-subspace, E the
     distinguished k-dimensional coordinate tail.  The count is
     |R|^{(m-t)(k-t)} * N(m-t, n) * N(t, k), nonempty iff 0 <= t <= k and
-    0 <= m - t <= n.
+    0 <= m - t <= n: the (m, t)-subspaces over the zero (0, 0)-subspace.
     """
-    if n < 0 or k < 0:
-        return 0
-    if not (0 <= t <= k and 0 <= m - t <= n):
-        return 0
-    return (
-        ring.order ** ((m - t) * (k - t))
-        * count_subspaces(m - t, n, ring)
-        * count_subspaces(t, k, ring)
-    )
+    return count_mt_over(0, 0, m, t, n, k, ring)
 
 
 def count_mt_in(

@@ -11,8 +11,9 @@ component, c mod p lies outside the span of every (k-1)-subset of the set
 (all of it, when it has fewer than k points), k being n for arcs and 3 for
 caps: the set's hyperplanes, or its secant lines.  So the extension queries
 cover spans instead of testing points: each stack's span points are marked
-blocked once, and a candidate is kept when its residue key is blocked in no
-component (the covering view of complete caps in Hirschfeld, *Projective
+blocked once, and a point is kept when its residue key is blocked in no
+component, so the kept points are a product over components and only they
+are built (the covering view of complete caps in Hirschfeld, *Projective
 Geometries over Finite Fields*, 1998).  The residue of a canonical row
 needs no reduction to serve as a key: only non-units lie left of its unit
 pivot 1, so mod p it is already 1 at its first nonzero entry, which is how
@@ -43,7 +44,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matrix import Matrix
-from .oracle import DEFAULT_BUDGET, enumerate_points, point_sort_key
+from .oracle import DEFAULT_BUDGET, point_sort_key
+from .oracle import _Budget, _canonical_rows, _point_product
 from .ring import LocalRing, Ring
 from .subspace import Subspace
 
@@ -189,15 +191,17 @@ def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
     """Points, in canonical order, whose addition keeps the set admissible.
 
     Covers spans as the module docstring says: the span points mod p of
-    each stack go into its component's blocked set, and a point is kept
-    when its residue key is blocked in no component.  The set's own points
-    are blocked by the stacks that hold them.  A stack that is dependent in
-    some component admits nothing, and neither does a component whose
-    blocked set holds its whole field.
+    each stack go into its component's blocked set, and the points kept are
+    the product over components of the canonical rows whose residue key is
+    not blocked, so only they are built.  The set's own points are blocked
+    by the stacks that hold them.  A stack that is dependent in some
+    component admits nothing.  The budget is charged |R|^n, as for listing
+    every point, before any work starts.
     """
     n = ps.ambient
-    points = enumerate_points(n, ps.ring, budget)
-    primes = [c.prime for c in ps.ring.components]
+    ring = ps.ring
+    _Budget(budget).spend(ring.order**n)
+    primes = [c.prime for c in ring.components]
     rows = _rows(ps.points)
     blocked: list[set[tuple[int, ...]]] = [set() for _ in primes]
     for stack in itertools.combinations(rows, min(len(rows), k - 1)):
@@ -205,16 +209,15 @@ def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
             if basis is None:
                 return []
             keys.update(zps.span_points_mod_p(basis, p))
-            if len(keys) == (p**n - 1) // (p - 1):
-                return []
-    return [
-        c
-        for c in points
-        if not any(
-            tuple([x % p for x in canon[0]]) in keys
-            for canon, p, keys in zip(c.canons, primes, blocked)
-        )
+    per_comp = [
+        [
+            (row, piv)
+            for row, piv in _canonical_rows(n, c.prime, c.order)
+            if tuple([x % c.prime for x in row]) not in keys
+        ]
+        for c, keys in zip(ring.components, blocked)
     ]
+    return _point_product(n, ring, per_comp)
 
 
 # _extend, _is_complete and _search_max take the public is_arc / is_cap as an

@@ -15,7 +15,7 @@ annihilator candidates).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import zps
 from .errors import RingMismatchError, RingParseError, ShapeMismatchError
@@ -197,11 +197,3 @@ def extend_to_basis(a: Matrix) -> Matrix:
     if not all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps)):
         raise AssertionError("the extended basis must start with the input rows")
     return ext
-
-
-def stack_rows(mats: Iterable[Matrix]) -> Matrix:
-    it = iter(mats)
-    out = next(it)
-    for m in it:
-        out = out.stack(m)
-    return out

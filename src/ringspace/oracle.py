@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import zps
 from .counting import (
@@ -76,18 +76,11 @@ def _canonical_rows(n: int, p: int, pe: int) -> Iterator[tuple[tuple[int, ...], 
                 yield left + (1,) + right, piv
 
 
-def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    """All 1-subspaces of R^n, sorted by canonical representative.
-
-    A point's canonical form is one canonical row per component, so the
-    points are the product over components of the rows of Z_{p^s}^n that
-    are already their own unit-pivot RREF: the first unit entry is 1 and
-    every entry left of it is a non-unit.  No row is reduced and none is
-    made twice.  The budget is charged |R|^n, the size of R^n, before any
-    work starts.
-    """
-    _Budget(budget).spend(ring.order**n)
-    per_comp = [list(_canonical_rows(n, c.prime, c.order)) for c in ring.components]
+def _point_product(
+    n: int, ring: Ring, per_comp: Sequence[Iterable[tuple[tuple[int, ...], int]]]
+) -> list[Subspace]:
+    """The points whose canonical (row, pivot) in each component is one of
+    that component's ``per_comp`` entries, sorted by canonical representative."""
     points = [
         Subspace(
             ring,
@@ -99,6 +92,22 @@ def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[S
         for combo in itertools.product(*per_comp)
     ]
     return sorted(points, key=point_sort_key)
+
+
+def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
+    """All 1-subspaces of R^n, sorted by canonical representative.
+
+    A point's canonical form is one canonical row per component, so the
+    points are the product over components of the rows of Z_{p^s}^n that
+    are already their own unit-pivot RREF: the first unit entry is 1 and
+    every entry left of it is a non-unit.  No row is reduced and none is
+    made twice.  The budget is charged |R|^n, the size of R^n, before any
+    work starts.
+    """
+    _Budget(budget).spend(ring.order**n)
+    return _point_product(
+        n, ring, [_canonical_rows(n, c.prime, c.order) for c in ring.components]
+    )
 
 
 def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:

@@ -90,11 +90,11 @@ def linear_subset_generators(l: LinearSubset) -> Matrix:
     return Matrix.from_comps(ring, padded, n)
 
 
-def linear_subset_to_json(l: LinearSubset, free: bool) -> dict:
+def linear_subset_to_json(l: LinearSubset) -> dict:
     return {
         "ambient": l.ambient,
         "dim": l.dim,
-        "free": free,
+        "free": l.is_free,
         "generators": matrix_to_json(linear_subset_generators(l)),
     }
 
@@ -106,6 +106,10 @@ def pointset_to_json(points: Sequence[Subspace]) -> list:
 def parse_point_rows(ring: Ring, obj) -> list[list[Element]]:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DomainError("point set payload must be an array of point rows")
+    if not all(obj):
+        raise DomainError("point rows must not be empty")
+    if len({len(r) for r in obj}) > 1:
+        raise DomainError("point rows must have equal length")
     return [[parse_element(ring, x) for x in row] for row in obj]
 
 

@@ -110,16 +110,15 @@ class LinearSubset:
     def is_free(self) -> bool:
         """True when the module is a free direct summand with unimodular basis.
 
-        That holds iff in every component its size is (p^s)^d for d the
-        component's mod-p rank, and all components share the same d.
+        That holds iff in every component its size is (p^s)^d for d = ``dim``.
+        A component whose mod-p rank exceeds ``dim`` holds a free module of
+        that larger rank, so its size is larger and the test fails there.
         """
-        ranks = set()
-        for h, comp in zip(self.howells, self.ring.components):
-            d = zps.rank_mod_p(h, self.ambient, comp.prime)
-            if zps.module_size(h, comp.prime, comp.exponent) != comp.order**d:
-                return False
-            ranks.add(d)
-        return len(ranks) == 1
+        d = self.dim
+        return all(
+            zps.module_size(h, comp.prime, comp.exponent) == comp.order**d
+            for h, comp in zip(self.howells, self.ring.components)
+        )
 
     def contains_vector(self, comps_row: tuple[tuple[int, ...], ...]) -> bool:
         return all(
@@ -230,8 +229,13 @@ class DimensionStatus:
 
 
 def dimension_formula_status(a: Subspace, b: Subspace) -> DimensionStatus:
-    j = join(a, b)
-    m = meet(a, b)
+    return _status(a, b, join(a, b), meet(a, b))
+
+
+def _status(
+    a: Subspace, b: Subspace, j: LinearSubset, m: LinearSubset
+) -> DimensionStatus:
+    """The pair's status from its join j and meet m, with its invariants checked."""
     dim_join, dim_meet = j.dim, m.dim
     formula = dim_join == a.dim + b.dim - dim_meet
     join_free = j.is_free
@@ -259,12 +263,11 @@ def duality_laws(a: Subspace, b: Subspace) -> DualityStatus:
     Only defined for pairs where the dimension formula holds; other pairs
     raise HypothesisNotMetError.
     """
-    status = dimension_formula_status(a, b)
-    if not status.formula_holds:
+    j, m = join(a, b), meet(a, b)
+    if not _status(a, b, j, m).formula_holds:
         raise HypothesisNotMetError("dimension formula fails for this pair")
     da, db = dual(a), dual(b)
-    meet_ab = as_subspace(meet(a, b))  # free since the formula holds
-    join_ab = as_subspace(join(a, b))
-    meet_law = join(da, db) == subspace_span(dual(meet_ab))
-    join_law = meet(da, db) == subspace_span(dual(join_ab))
+    # join and meet are free since the formula holds
+    meet_law = join(da, db) == subspace_span(dual(as_subspace(m)))
+    join_law = meet(da, db) == subspace_span(dual(as_subspace(j)))
     return DualityStatus(meet_law, join_law)

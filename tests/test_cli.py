@@ -336,6 +336,23 @@ class TestGeometryCommands:
                 argv = [group, command, "--ring", ring, "--points", points]
                 assert run(capsys, argv) == want
 
+    @pytest.mark.parametrize(
+        "points,message",
+        [
+            ("[[]]", "point rows must not be empty"),
+            ("[[],[]]", "point rows must not be empty"),
+            ("[[1,0],[]]", "point rows must not be empty"),
+            ("[[1,0,0],[1]]", "point rows must have equal length"),
+            # the row shape is checked before the entries, as for matrices
+            ("[[true],[1,0]]", "point rows must have equal length"),
+        ],
+    )
+    def test_malformed_point_rows_name_the_payload(self, capsys, points, message):
+        for group in ("arc", "cap"):
+            for command in ("check", "complete", "extend"):
+                argv = [group, command, "--ring", "Z4", "--points", points]
+                assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
     def test_arc_max_known_and_unknown(self, capsys):
         doc = run_json(capsys, ["arc", "max", "--ring", "Z6", "-n", "4"])
         assert doc == {"size": 5}

@@ -63,6 +63,40 @@ class TestStructure:
         assert count_mt_in(2, 1, 1, 1, 2, 2, z6) == 0
         assert count_mt_over(2, 2, 1, 1, 2, 2, z6) == 0
 
+    def test_shared_forms_match_their_closed_forms(self, z4, z6, z12):
+        """count_full_rank and count_mt_subspaces, now the m1 = 0 and
+        (m1, t1) = (0, 0) cases of the extension and over counts, keep their
+        own closed forms and guards, negative and oversized arguments too."""
+
+        def full_rank(m, n, ring):
+            if m < 0 or n < 0 or m > n:
+                return 0
+            out = ring.order ** (m * (m - 1) // 2)
+            for c in ring.components:
+                for i in range(m):
+                    out *= c.order ** (n - i) - c.maximal_ideal_order ** (n - i)
+            return out
+
+        def mt(m, t, n, k, ring):
+            if n < 0 or k < 0 or not (0 <= t <= k and 0 <= m - t <= n):
+                return 0
+            return (
+                ring.order ** ((m - t) * (k - t))
+                * count_subspaces(m - t, n, ring)
+                * count_subspaces(t, k, ring)
+            )
+
+        r = range(-2, 6)
+        for ring in (z4, z6, z12):
+            for m in r:
+                for n in r:
+                    assert count_full_rank(m, n, ring) == full_rank(m, n, ring)
+                    for t in r:
+                        for k in r:
+                            assert count_mt_subspaces(m, t, n, k, ring) == mt(
+                                m, t, n, k, ring
+                            )
+
     def test_multiplicative_over_components(self, z4, z3, z2):
         z12 = parse_ring("Z12")
         z6 = parse_ring("Z6")

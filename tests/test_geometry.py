@@ -27,7 +27,7 @@ from ringspace import (
     search_max_arc,
     search_max_cap,
 )
-from ringspace import geometry, zps
+from ringspace import geometry, oracle, zps
 
 
 def all_arcs(ring, n, limit=None):
@@ -92,6 +92,30 @@ def _ref_extensions(ps, k):
         c
         for c in enumerate_points(ps.ambient, ps.ring)
         if c.canons not in existing and _admits(ps, c, k)
+    ]
+
+
+def _walk_and_filter(ps, k):
+    """Reference: span covering over a walk of every point of R^n, keeping
+    the points whose residue key is blocked in no component."""
+    primes = [c.prime for c in ps.ring.components]
+    blocked = [set() for _ in primes]
+    rows = [[canon[0] for canon in pt.canons] for pt in ps.points]
+    for stack in itertools.combinations(rows, min(len(rows), k - 1)):
+        for ci, (p, keys) in enumerate(zip(primes, blocked)):
+            basis = ()
+            for pt_rows in stack:
+                basis = zps.echelon_add_mod_p(basis, pt_rows[ci], p)
+                if basis is None:
+                    return []
+            keys.update(zps.span_points_mod_p(basis, p))
+    return [
+        c
+        for c in enumerate_points(ps.ambient, ps.ring)
+        if not any(
+            tuple(x % p for x in canon[0]) in keys
+            for canon, p, keys in zip(c.canons, primes, blocked)
+        )
     ]
 
 
@@ -281,6 +305,67 @@ def test_queries_match_rank_reference(name, n):
                 assert is_kind(sample) == _ref_in_general_position(sample, k)
 
 
+@pytest.mark.parametrize("name,n", QUERY_SPACES + [("Z3", 4), ("Z6", 2), ("Z4", 2)])
+def test_extensions_match_walk_and_filter(name, n):
+    """The extension queries build only the unblocked points; they list the
+    points that filtering every point of R^n keeps, in the same order, for
+    seeded greedy complete sets, their prefixes, the empty set, and every
+    residue-field projection (the second completeness route)."""
+    ring = parse_ring(name)
+    rng = random.Random(f"walk {name}^{n}")
+    kinds = [(n, extend_arc)] + ([(3, extend_cap)] if n >= 3 else [])
+    for k, extend in kinds:
+        full = []
+        while cands := _walk_and_filter(PointSet.of(ring, n, full), k):
+            full.append(rng.choice(cands))
+        for prefix in (full, full[:-1], full[: (len(full) + 1) // 2], full[:1], []):
+            ps = PointSet.of(ring, n, prefix)
+            for s in [ps] + [project_point_set(ps, i) for i in range(ring.ell)]:
+                assert extend(s) == _walk_and_filter(s, k)
+
+
+def test_queries_list_no_points(monkeypatch, z6):
+    """No query or search walks the points of R^n."""
+
+    def walk(*args, **kwargs):
+        raise AssertionError("enumerate_points called")
+
+    monkeypatch.setattr(oracle, "enumerate_points", walk)
+    # also the name a module may have imported from oracle
+    monkeypatch.setattr(geometry, "enumerate_points", walk, raising=False)
+    ps = PointSet.from_rows(z6, [[1, 0, 0], [0, 1, 0]])
+    for query in (extend_arc, extend_cap, is_complete_arc, is_complete_cap):
+        query(ps)
+    assert len(search_max_arc(2, z6).points) == 3
+    assert len(search_max_cap(3, z6).points) == 4
+
+
+@pytest.mark.parametrize(
+    "kind,spec,n", [("arc", "Z4", 3), ("cap", "Z6", 3), ("arc", "Z2xZ3", 2), ("cap", "Z9", 3)]
+)
+def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
+    """extend, complete and search charge |R|^n units before any other work:
+    |R|^n - 1 raises and |R|^n passes, on full, half and empty sets."""
+    ring = parse_ring(spec)
+    size = ring.order**n
+    search = getattr(geometry, f"search_max_{kind}")
+    extend = getattr(geometry, f"extend_{kind}")
+    complete = getattr(geometry, f"is_complete_{kind}")
+    full = search(n, ring, size).points
+    for pts in (full, full[: len(full) // 2], ()):
+        ps = PointSet.of(ring, n, pts)
+        assert extend(ps, size) == extend(ps)
+        assert complete(ps, size) == (len(pts) == len(full))
+        with monkeypatch.context() as m:
+            # no span may be marked before the budget raises
+            m.setattr(zps, "span_points_mod_p", None)
+            for query in (extend, complete):
+                with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+                    query(ps, size - 1)
+    with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+        search(n, ring, size - 1)
+
+
 class TestSizeTables:
     def test_arc_values(self, z4, z6):
         assert max_arc_size_formula(2, z4) == 3
@@ -396,7 +481,10 @@ class TestSearch:
             for c in enumerate_points(n, ring)
             if c.canons not in pinned and _admits(base_set, c, k)
         ]
+        assert getattr(geometry, f"extend_{kind}")(base_set) == candidates
         want, nodes = _full_check_search(base, candidates, k, ring, n)
+        found = getattr(geometry, f"search_max_{kind}")(n, ring)
+        assert found.points == PointSet.of(ring, n, want).points
         got = geometry._search(base, candidates, k, ring, n, nodes)
         assert [p.canons for p in got] == [p.canons for p in want]
         with pytest.raises(BudgetExceededError):

@@ -21,7 +21,6 @@ from ringspace import (
     mccoy_rank_oracle,
     parse_ring,
     right_inverse,
-    stack_rows,
 )
 
 
@@ -197,5 +196,5 @@ class TestConstructiveTransforms:
     def test_stack_rows(self, z4):
         a = Matrix.from_entries(z4, [[1, 0]])
         b = Matrix.from_entries(z4, [[0, 1]])
-        c = stack_rows([a, b])
+        c = a.stack(b)
         assert c.comps == Matrix.identity(z4, 2).comps

@@ -26,6 +26,7 @@ from ringspace import (
     parse_ring,
     subspace_span,
 )
+from ringspace import zps
 
 
 def span_vectors(sub):
@@ -254,6 +255,30 @@ class TestPromotion:
             for m in range(3):
                 for s in enumerate_subspaces(m, 2, ring):
                     assert as_subspace(subspace_span(s)) == s
+
+    @pytest.mark.parametrize(
+        "spec,n,rows",
+        [("Z4", 2, 2), ("Z8", 2, 2), ("Z9", 2, 2), ("Z6", 2, 2), ("Z12", 2, 1),
+         ("Z2xZ2", 3, 2), ("Z2xZ4", 2, 2), ("Z4", 3, 1)],
+    )
+    def test_is_free_matches_rank_agreement_rule(self, spec, n, rows):
+        """Every module generated by up to ``rows`` rows: the size test
+        against ``dim`` agrees with the rule that each component has size
+        (p^s)^d for its own mod-p rank d and all components share d."""
+        ring = parse_ring(spec)
+        entries = list(itertools.product(*(range(c.order) for c in ring.components)))
+        for k in range(rows + 1):
+            for flat in itertools.product(entries, repeat=k * n):
+                gens = [list(flat[i * n : (i + 1) * n]) for i in range(k)]
+                l = LinearSubset.from_generators(Matrix.from_entries(ring, gens))
+                ranks = set()
+                sizes_match = True
+                for h, comp in zip(l.howells, ring.components):
+                    d = zps.rank_mod_p(h, n, comp.prime)
+                    size = zps.module_size(h, comp.prime, comp.exponent)
+                    sizes_match &= size == comp.order**d
+                    ranks.add(d)
+                assert l.is_free == (sizes_match and len(ranks) == 1)
 
     @pytest.mark.parametrize("spec,n", [("Z4", 2), ("Z6", 2), ("Z2xZ2", 3)])
     def test_is_free_iff_span_of_a_subspace(self, spec, n):
