@@ -11,28 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import counting, geometry, serialize
+from . import serialize
 from .errors import DomainError, PayloadError, RingParseError
-from .geometry import PointSet
-from .matrix import completion, gl_inverse, mccoy_rank, right_inverse
-from .oracle import (
-    DEFAULT_BUDGET,
-    SUITES,
-    enumerate_mt_subspaces,
-    enumerate_subspaces,
-    verify_counts,
-)
 from .ring import Ring, parse_ring
-from .singular import SingularSpace, canonical_mt_transform, type_of
-from .subspace import (
-    Subspace,
-    as_subspace,
-    dimension_formula_status,
-    dual,
-    duality_laws,
-    join,
-    meet,
-)
 
 
 def _ring(args) -> Ring:
@@ -45,17 +26,21 @@ def _matrix(args, attr: str = "matrix"):
 
 
 def _subspace(args, attr: str):
-    return Subspace.from_matrix(_matrix(args, attr))
+    from . import subspace
+
+    return subspace.Subspace.from_matrix(_matrix(args, attr))
 
 
-def _point_set(args) -> PointSet:
+def _point_set(args):
+    from . import geometry
+
     ring = _ring(args)
     rows = serialize.parse_point_rows(ring, serialize.load_payload(args.points))
     if rows:
-        return PointSet.from_rows(ring, rows)
+        return geometry.PointSet.from_rows(ring, rows)
     if args.n is None:
         raise PayloadError("empty point set needs an explicit -n")
-    return PointSet.of(ring, args.n, [])
+    return geometry.PointSet.of(ring, args.n, [])
 
 
 def _budget(args, fallback: int) -> int:
@@ -64,12 +49,15 @@ def _budget(args, fallback: int) -> int:
 
 # -- command handlers ----------------------------------------------------------
 #
-# Library functions are looked up when a handler runs, never stored in the
-# command table, so rebinding a module attribute (a mock, a tracer) takes
-# effect for the CLI too.
+# A handler imports the library modules it needs when it runs and calls
+# their functions through the module, so a command loads only what it uses,
+# and rebinding a module attribute (a mock, a tracer) takes effect for the
+# CLI too.  Nothing library-side is stored in the command table.
 
 
 def _cmd_ring_info(args):
+    from . import counting
+
     ring = _ring(args)
     return {
         "ring": ring.spec_string(),
@@ -85,21 +73,29 @@ def _cmd_ring_info(args):
 
 
 def _cmd_matrix_rank(args):
-    return {"rank": mccoy_rank(_matrix(args))}, 0
+    from . import matrix
+
+    return {"rank": matrix.mccoy_rank(_matrix(args))}, 0
 
 
 def _cmd_matrix_complete(args):
-    s = completion(_matrix(args))
+    from . import matrix
+
+    s = matrix.completion(_matrix(args))
     return {"completion": serialize.matrix_to_json(s)}, 0
 
 
 def _cmd_matrix_invert(args):
-    inv = gl_inverse(_matrix(args))
+    from . import matrix
+
+    inv = matrix.gl_inverse(_matrix(args))
     return {"inverse": serialize.matrix_to_json(inv)}, 0
 
 
 def _cmd_matrix_right_inverse(args):
-    b = right_inverse(_matrix(args))
+    from . import matrix
+
+    b = matrix.right_inverse(_matrix(args))
     return {"right_inverse": serialize.matrix_to_json(b)}, 0
 
 
@@ -107,28 +103,38 @@ def _cmd_subspace_canon(args):
     return serialize.subspace_to_json(_subspace(args, "matrix")), 0
 
 
-def _linear_subset_payload(l):
+def _meet_or_join(args, operation: str):
+    """The meet or join of the --a and --b subspaces, as its JSON payload."""
+    from . import subspace
+
+    l = getattr(subspace, operation)(_subspace(args, "a"), _subspace(args, "b"))
     out = serialize.linear_subset_to_json(l)
-    out["canonical"] = serialize.subspace_to_json(as_subspace(l)) if out["free"] else None
-    return out
+    out["canonical"] = (
+        serialize.subspace_to_json(subspace.as_subspace(l)) if out["free"] else None
+    )
+    return out, 0
 
 
 def _cmd_subspace_meet(args):
-    return _linear_subset_payload(meet(_subspace(args, "a"), _subspace(args, "b"))), 0
+    return _meet_or_join(args, "meet")
 
 
 def _cmd_subspace_join(args):
-    return _linear_subset_payload(join(_subspace(args, "a"), _subspace(args, "b"))), 0
+    return _meet_or_join(args, "join")
 
 
 def _cmd_subspace_dual(args):
-    return serialize.subspace_to_json(dual(_subspace(args, "matrix"))), 0
+    from . import subspace
+
+    return serialize.subspace_to_json(subspace.dual(_subspace(args, "matrix"))), 0
 
 
 def _cmd_subspace_dimcheck(args):
+    from . import subspace
+
     a = _subspace(args, "a")
     b = _subspace(args, "b")
-    st = dimension_formula_status(a, b)
+    st, laws = subspace._dimcheck(a, b)
     out = {
         "dim_a": st.dim_a,
         "dim_b": st.dim_b,
@@ -140,8 +146,7 @@ def _cmd_subspace_dimcheck(args):
         "meet_law": None,
         "join_law": None,
     }
-    if st.formula_holds:
-        laws = duality_laws(a, b)
+    if laws is not None:
         out["meet_law"] = laws.meet_law_holds
         out["join_law"] = laws.join_law_holds
     return out, 0
@@ -156,22 +161,31 @@ def _count(function: str, params: str, flags: str | None = None):
     names = params.split()
 
     def handler(args):
+        from . import counting
+
         fn = getattr(counting, function)
         return {"count": str(fn(*(getattr(args, n) for n in names), _ring(args)))}, 0
 
     return handler, _dims(flags or params)
 
 
+def _typed(args):
+    """The --matrix subspace of the singular space (-n, -k), typed."""
+    from . import singular
+
+    space = singular.SingularSpace(_ring(args), args.n, args.k)
+    return singular.type_of(_subspace(args, "matrix"), space)
+
+
 def _cmd_singular_type(args):
-    space = SingularSpace(_ring(args), args.n, args.k)
-    tp = type_of(_subspace(args, "matrix"), space)
+    tp = _typed(args)
     return {"m": tp.m, "t": tp.t, "typed": tp.typed}, 0
 
 
 def _cmd_singular_canon(args):
-    space = SingularSpace(_ring(args), args.n, args.k)
-    tp = type_of(_subspace(args, "matrix"), space)
-    trans, target = canonical_mt_transform(tp)
+    from . import singular
+
+    trans, target = singular.canonical_mt_transform(_typed(args))
     return {
         "transform": serialize.matrix_to_json(trans),
         "canonical": serialize.subspace_to_json(target),
@@ -179,22 +193,26 @@ def _cmd_singular_canon(args):
 
 
 def _cmd_singular_enumerate(args):
+    from . import oracle, singular
+
     ring = _ring(args)
-    budget = _budget(args, DEFAULT_BUDGET)
+    budget = _budget(args, oracle.DEFAULT_BUDGET)
     if (args.m is None) != (args.t is None):
         raise PayloadError("give both -m and -t, or neither")
     if args.m is not None:
-        found = enumerate_mt_subspaces(args.m, args.t, args.n, args.k, ring, budget)
+        found = oracle.enumerate_mt_subspaces(
+            args.m, args.t, args.n, args.k, ring, budget
+        )
         return {
             "count": str(len(found)),
             "subspaces": [serialize.subspace_to_json(s) for s in found],
         }, 0
-    space = SingularSpace(ring, args.n, args.k)
+    space = singular.SingularSpace(ring, args.n, args.k)
     census: dict[tuple[int, int], int] = {}
     untyped = 0
     for m in range(space.ambient + 1):
-        for sub in enumerate_subspaces(m, space.ambient, ring, budget):
-            tp = type_of(sub, space)
+        for sub in oracle.enumerate_subspaces(m, space.ambient, ring, budget):
+            tp = singular.type_of(sub, space)
             if tp.typed:
                 census[tp.type] = census.get(tp.type, 0) + 1
             else:
@@ -213,7 +231,15 @@ def _cmd_singular_enumerate(args):
 
 
 def _kind_fn(args, template: str):
+    from . import geometry
+
     return getattr(geometry, template.format(args.group))
+
+
+def _query_budget(args) -> int:
+    from . import oracle
+
+    return _budget(args, oracle.DEFAULT_BUDGET)
 
 
 def _cmd_check(args):
@@ -221,17 +247,19 @@ def _cmd_check(args):
 
 
 def _cmd_complete(args):
-    budget = _budget(args, DEFAULT_BUDGET)
+    budget = _query_budget(args)
     return {"complete": _kind_fn(args, "is_complete_{}")(_point_set(args), budget)}, 0
 
 
 def _cmd_extend(args):
-    budget = _budget(args, DEFAULT_BUDGET)
+    budget = _query_budget(args)
     pts = _kind_fn(args, "extend_{}")(_point_set(args), budget)
     return {"extensions": serialize.pointset_to_json(pts)}, 0
 
 
 def _cmd_search(args):
+    from . import geometry
+
     search = _kind_fn(args, "search_max_{}")
     ps = search(args.n, _ring(args), _budget(args, geometry.SEARCH_BUDGET))
     return {
@@ -245,7 +273,9 @@ def _cmd_max(args):
 
 
 def _cmd_verify(args):
-    reports = verify_counts(args.suite)
+    from . import oracle
+
+    reports = oracle.verify_counts(args.suite)
     mismatches = sum(1 for r in reports if not r.match)
     payload = {
         "suite": args.suite,
@@ -369,25 +399,36 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every group at the top level; commands only for the group argv names.
+
+    That group is the first argument that is not an option: the top level
+    takes no option with a value, so argparse dispatches to the same one.
+    Help, choices and errors read as if every group were filled in.
+    """
+    named = next((a for a in argv if not a.startswith("-")), None)
     parser = argparse.ArgumentParser(
         prog="ringspace",
         description="Exact linear algebra and finite geometry over Z_{p^s} products.",
     )
     top = parser.add_subparsers(dest="group", required=True)
     for group, (group_help, commands) in COMMANDS.items():
-        sub = top.add_parser(group, help=group_help).add_subparsers(
-            dest="command", required=True
-        )
+        group_parser = top.add_parser(group, help=group_help)
+        if group != named:
+            continue
+        sub = group_parser.add_subparsers(dest="command", required=True)
         for command, hlp, handler, options in commands:
             p = sub.add_parser(command, help=hlp)
             for flag, kwargs in (_RING, _OUTPUT, *options):
                 p.add_argument(flag, **kwargs)
             p.set_defaults(handler=handler)
     p = top.add_parser("verify", help="formula vs enumeration suites")
-    p.add_argument(_OUTPUT[0], **_OUTPUT[1])
-    p.add_argument("--suite", choices=["default", *SUITES], default="default")
-    p.set_defaults(handler=_cmd_verify)
+    if named == "verify":
+        from .oracle import SUITES
+
+        p.add_argument(_OUTPUT[0], **_OUTPUT[1])
+        p.add_argument("--suite", choices=["default", *SUITES], default="default")
+        p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -430,7 +471,8 @@ def _render_table(payload, indent: int = 0, out=None) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -5,17 +5,22 @@ pairwise coprime (the ring is then Z_m and the integer is the canonical
 representative); otherwise as arrays of per-component residues.  Both forms
 are always accepted on input.  Counts are emitted as decimal strings so no
 JSON consumer can lose precision on big integers.
+
+``matrix`` and ``subspace`` are imported by the functions that build their
+objects, so reading or writing a count loads neither.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DomainError, PayloadError
-from .matrix import Matrix
 from .ring import Element, Ring
-from .subspace import LinearSubset, Subspace
+
+if TYPE_CHECKING:
+    from .matrix import Matrix
+    from .subspace import LinearSubset, Subspace
 
 
 def element_to_json(e: Element):
@@ -51,6 +56,8 @@ def matrix_to_json(a: Matrix) -> list:
 
 
 def parse_matrix(ring: Ring, obj) -> Matrix:
+    from .matrix import Matrix
+
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DomainError("matrix payload must be a nested JSON array")
     if obj and len({len(r) for r in obj}) != 1:
@@ -68,6 +75,8 @@ def subspace_to_json(s: Subspace) -> dict:
 
 
 def parse_subspace(ring: Ring, obj) -> Subspace:
+    from .subspace import Subspace
+
     if isinstance(obj, dict):
         obj = obj.get("rows")
     return Subspace.from_matrix(parse_matrix(ring, obj))
@@ -79,6 +88,8 @@ def linear_subset_generators(l: LinearSubset) -> Matrix:
     Equal linear subsets produce identical matrices, whatever generators
     they were built from, so the JSON form is canonical too.
     """
+    from .matrix import Matrix
+
     ring = l.ring
     n = l.ambient
     depth = max((len(h) for h in l.howells), default=0)

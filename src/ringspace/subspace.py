@@ -11,6 +11,7 @@ to Subspace exactly when the module is free with a unimodular basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import zps
 from .errors import (
@@ -77,9 +78,12 @@ class Subspace:
         return all(self.contains_vector(vec) for vec in zip(*other.canons))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class LinearSubset:
-    """An arbitrary submodule of R^n, canonicalized by componentwise Howell forms."""
+    """An arbitrary submodule of R^n, canonicalized by componentwise Howell forms.
+
+    ``dim`` and ``is_free`` are computed on first use and kept.
+    """
 
     ring: Ring
     ambient: int
@@ -93,7 +97,7 @@ class LinearSubset:
         )
         return cls(a.ring, a.cols, howells)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         """Size of the largest linearly independent unimodular family inside.
 
@@ -106,7 +110,7 @@ class LinearSubset:
             for h, comp in zip(self.howells, self.ring.components)
         )
 
-    @property
+    @cached_property
     def is_free(self) -> bool:
         """True when the module is a free direct summand with unimodular basis.
 
@@ -263,11 +267,23 @@ def duality_laws(a: Subspace, b: Subspace) -> DualityStatus:
     Only defined for pairs where the dimension formula holds; other pairs
     raise HypothesisNotMetError.
     """
-    j, m = join(a, b), meet(a, b)
-    if not _status(a, b, j, m).formula_holds:
+    laws = _dimcheck(a, b)[1]
+    if laws is None:
         raise HypothesisNotMetError("dimension formula fails for this pair")
+    return laws
+
+
+def _dimcheck(a: Subspace, b: Subspace) -> tuple[DimensionStatus, DualityStatus | None]:
+    """The pair's status, and its duality laws when the formula holds.
+
+    Builds the pair's join and meet once for both answers.
+    """
+    j, m = join(a, b), meet(a, b)
+    status = _status(a, b, j, m)
+    if not status.formula_holds:
+        return status, None
     da, db = dual(a), dual(b)
     # join and meet are free since the formula holds
     meet_law = join(da, db) == subspace_span(dual(as_subspace(m)))
     join_law = meet(da, db) == subspace_span(dual(as_subspace(j)))
-    return DualityStatus(meet_law, join_law)
+    return status, DualityStatus(meet_law, join_law)

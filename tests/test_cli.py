@@ -5,7 +5,7 @@ import json
 import pytest
 
 from ringspace import Matrix, Subspace, parse_ring
-from ringspace import cli, serialize
+from ringspace import cli, oracle, serialize
 from ringspace.oracle import EnumerationReport
 
 
@@ -144,6 +144,44 @@ class TestSubspaceCommands:
         )
         assert doc2["formula_holds"] is True
         assert doc2["meet_law"] is True and doc2["join_law"] is True
+
+    @staticmethod
+    def _calls(monkeypatch, module, name):
+        """Count the calls of ``module.name`` from here on."""
+        calls = [0]
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("op", ["join", "meet"])
+    def test_meet_join_rank_each_component_once(self, capsys, monkeypatch, op):
+        from ringspace import zps
+
+        ranks = self._calls(monkeypatch, zps, "rank_mod_p")
+        argv = ["subspace", op, "--ring", "Z12", "--a", "[[1,0,0]]", "--b", "[[0,1,0]]"]
+        run_json(capsys, argv)
+        # Z12 has two components; dim, free and canonical share the ranks
+        assert ranks == [2]
+
+    @pytest.mark.parametrize(
+        "a, b, builds",
+        [
+            ("[[1,0,0]]", "[[0,1,0]]", 2),  # the pair's, then the duals'
+            ("[[2,1]]", "[[0,1]]", 1),  # formula fails: no duals
+        ],
+    )
+    def test_dimcheck_builds_join_and_meet_once(self, capsys, monkeypatch, a, b, builds):
+        from ringspace import subspace
+
+        joins = self._calls(monkeypatch, subspace, "join")
+        meets = self._calls(monkeypatch, subspace, "meet")
+        run_json(capsys, ["subspace", "dimcheck", "--ring", "Z4", "--a", a, "--b", b])
+        assert (joins, meets) == ([builds], [builds])
 
 
 class TestCounts:
@@ -371,7 +409,8 @@ class TestVerifyCommand:
         def fake_verify(suite):
             return [EnumerationReport("forced", 1, 2, False, 0.0)]
 
-        monkeypatch.setattr(cli, "verify_counts", fake_verify)
+        # the handler looks verify_counts up in oracle when it runs
+        monkeypatch.setattr(oracle, "verify_counts", fake_verify)
         code, out, err = run(capsys, ["verify", "--suite", "geometry"])
         assert code == 3
         doc = json.loads(out)
