@@ -11,10 +11,11 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines, in ``__all__`` order
 _HOMES = {
-    "errors": """BudgetExceededError DomainError HypothesisNotMetError
-        NonCoprimeComponentsError NotACapError NotAnArcError NotASubspaceError
-        NotAUnitError NotFullRankError NotInvertibleError PayloadError
-        RingMismatchError RingParseError ShapeMismatchError UntypedSubspaceError""",
+    "errors": """BudgetExceededError DEFAULT_BUDGET DomainError
+        HypothesisNotMetError NonCoprimeComponentsError NotACapError NotAnArcError
+        NotASubspaceError NotAUnitError NotFullRankError NotInvertibleError
+        PayloadError RingMismatchError RingParseError ShapeMismatchError
+        UntypedSubspaceError""",
     "ring": "Element LocalRing Ring parse_ring",
     "matrix": """Matrix completion extend_to_basis gl_inverse is_unimodular_rows
         mccoy_rank right_inverse""",
@@ -28,7 +29,7 @@ _HOMES = {
     "geometry": """PointSet extend_arc extend_cap is_arc is_cap is_complete_arc
         is_complete_cap max_arc_size_formula max_cap_size_formula
         project_point_set search_max_arc search_max_cap""",
-    "oracle": """DEFAULT_BUDGET EnumerationReport brute_force_dim
+    "oracle": """EnumerationReport brute_force_dim
         count_full_rank_enumerated enumerate_mt_subspaces enumerate_points
         enumerate_subspaces mccoy_rank_oracle verify_counts""",
 }

@@ -9,10 +9,11 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import serialize
-from .errors import DomainError, PayloadError, RingParseError
+from .errors import DEFAULT_BUDGET, DomainError, PayloadError, RingParseError
 from .ring import Ring, parse_ring
 
 
@@ -37,6 +38,10 @@ def _point_set(args):
     ring = _ring(args)
     rows = serialize.parse_point_rows(ring, serialize.load_payload(args.points))
     if rows:
+        if args.n not in (None, len(rows[0])):
+            raise PayloadError(
+                f"-n {args.n} does not match point rows of length {len(rows[0])}"
+            )
         return geometry.PointSet.from_rows(ring, rows)
     if args.n is None:
         raise PayloadError("empty point set needs an explicit -n")
@@ -132,23 +137,10 @@ def _cmd_subspace_dual(args):
 def _cmd_subspace_dimcheck(args):
     from . import subspace
 
-    a = _subspace(args, "a")
-    b = _subspace(args, "b")
-    st, laws = subspace._dimcheck(a, b)
-    out = {
-        "dim_a": st.dim_a,
-        "dim_b": st.dim_b,
-        "dim_join": st.dim_join,
-        "dim_meet": st.dim_meet,
-        "formula_holds": st.formula_holds,
-        "join_is_subspace": st.join_is_subspace,
-        "meet_is_subspace": st.meet_is_subspace,
-        "meet_law": None,
-        "join_law": None,
-    }
-    if laws is not None:
-        out["meet_law"] = laws.meet_law_holds
-        out["join_law"] = laws.join_law_holds
+    st, laws = subspace._dimcheck(_subspace(args, "a"), _subspace(args, "b"))
+    out = dataclasses.asdict(st)
+    out["meet_law"] = laws.meet_law_holds if laws else None
+    out["join_law"] = laws.join_law_holds if laws else None
     return out, 0
 
 
@@ -196,7 +188,7 @@ def _cmd_singular_enumerate(args):
     from . import oracle, singular
 
     ring = _ring(args)
-    budget = _budget(args, oracle.DEFAULT_BUDGET)
+    budget = _budget(args, DEFAULT_BUDGET)
     if (args.m is None) != (args.t is None):
         raise PayloadError("give both -m and -t, or neither")
     if args.m is not None:
@@ -236,23 +228,17 @@ def _kind_fn(args, template: str):
     return getattr(geometry, template.format(args.group))
 
 
-def _query_budget(args) -> int:
-    from . import oracle
-
-    return _budget(args, oracle.DEFAULT_BUDGET)
-
-
 def _cmd_check(args):
     return {args.group: _kind_fn(args, "is_{}")(_point_set(args))}, 0
 
 
 def _cmd_complete(args):
-    budget = _query_budget(args)
+    budget = _budget(args, DEFAULT_BUDGET)
     return {"complete": _kind_fn(args, "is_complete_{}")(_point_set(args), budget)}, 0
 
 
 def _cmd_extend(args):
-    budget = _query_budget(args)
+    budget = _budget(args, DEFAULT_BUDGET)
     pts = _kind_fn(args, "extend_{}")(_point_set(args), budget)
     return {"extensions": serialize.pointset_to_json(pts)}, 0
 

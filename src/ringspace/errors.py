@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the enumeration budget check.
 
 Everything raised on bad mathematical input derives from DomainError so the
 command line tool can map the whole family to a single exit code.
@@ -63,3 +63,15 @@ class NotACapError(DomainError):
 
 class BudgetExceededError(DomainError):
     """Enumeration or search exceeded its node budget."""
+
+
+DEFAULT_BUDGET = 10**6
+
+
+def charge(units: int, budget: int) -> None:
+    """Refuse work that costs ``units`` when only ``budget`` are allowed.
+
+    Made before the work it pays for, so a refused call does none of it.
+    """
+    if units > budget:
+        raise BudgetExceededError("enumeration budget exhausted")

@@ -36,18 +36,18 @@ from typing import Iterable, Sequence
 
 from . import zps
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DomainError,
     NotACapError,
     NotAnArcError,
     RingMismatchError,
     ShapeMismatchError,
+    charge,
 )
 from .matrix import Matrix
-from .oracle import DEFAULT_BUDGET, point_sort_key
-from .oracle import _Budget, _canonical_rows, _point_product
 from .ring import LocalRing, Ring
-from .subspace import Subspace
+from .subspace import Subspace, point_sort_key, points
 
 
 @dataclass(frozen=True, slots=True)
@@ -200,7 +200,7 @@ def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
     """
     n = ps.ambient
     ring = ps.ring
-    _Budget(budget).spend(ring.order**n)
+    charge(ring.order**n, budget)
     primes = [c.prime for c in ring.components]
     rows = _rows(ps.points)
     blocked: list[set[tuple[int, ...]]] = [set() for _ in primes]
@@ -209,15 +209,7 @@ def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
             if basis is None:
                 return []
             keys.update(zps.span_points_mod_p(basis, p))
-    per_comp = [
-        [
-            (row, piv)
-            for row, piv in _canonical_rows(n, c.prime, c.order)
-            if tuple([x % c.prime for x in row]) not in keys
-        ]
-        for c, keys in zip(ring.components, blocked)
-    ]
-    return _point_product(n, ring, per_comp)
+    return points(n, ring, blocked)
 
 
 # _extend, _is_complete and _search_max take the public is_arc / is_cap as an

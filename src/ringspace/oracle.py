@@ -2,9 +2,8 @@
 
 Everything here recounts objects by direct enumeration so the closed
 formulas in ``counting`` can be checked against an independent route.  The
-enumerators never consult the formulas.  Points are listed as the rows that
-are already their own canonical form, in each component: the first unit
-entry is 1 and every entry left of it is a non-unit.  Subspaces grow one
+enumerators never consult the formulas.  Points come from ``subspace.points``,
+which builds each one as its own canonical form.  Subspaces grow one
 dimension at a time by canonical augmentation (McKay 1998): a child is kept
 only when its parent's canonical rows and the new point's canonical row
 already form the child's canonical form, so each subspace is made once and
@@ -17,7 +16,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import zps
 from .counting import (
@@ -28,25 +27,11 @@ from .counting import (
     count_subspaces_in,
     count_subspaces_over,
 )
-from .errors import BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank, right_inverse
 from .ring import Element, Ring, parse_ring
 from .singular import SingularSpace, type_of
-from .subspace import Subspace, dimension_formula_status, dual
-
-DEFAULT_BUDGET = 10**6
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, limit: int):
-        self.left = limit
-
-    def spend(self, amount: int = 1) -> None:
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceededError("enumeration budget exhausted")
+from .subspace import Subspace, dimension_formula_status, dual, points
 
 
 def iter_vectors(n: int, ring: Ring) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -63,51 +48,14 @@ def _is_unimodular_vector(rows: Sequence[Sequence[int]], ring: Ring) -> bool:
     )
 
 
-def point_sort_key(p: Subspace):
-    """A point's canonical rows read column by column, all components per column."""
-    return tuple(zip(*[c[0] for c in p.canons]))
-
-
-def _canonical_rows(n: int, p: int, pe: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(row, pivot) for each row of Z_{p^s}^n that is its own unit-pivot RREF."""
-    for piv in range(n):
-        for left in itertools.product(range(0, pe, p), repeat=piv):
-            for right in itertools.product(range(pe), repeat=n - piv - 1):
-                yield left + (1,) + right, piv
-
-
-def _point_product(
-    n: int, ring: Ring, per_comp: Sequence[Iterable[tuple[tuple[int, ...], int]]]
-) -> list[Subspace]:
-    """The points whose canonical (row, pivot) in each component is one of
-    that component's ``per_comp`` entries, sorted by canonical representative."""
-    points = [
-        Subspace(
-            ring,
-            n,
-            1,
-            tuple((row,) for row, _ in combo),
-            tuple((piv,) for _, piv in combo),
-        )
-        for combo in itertools.product(*per_comp)
-    ]
-    return sorted(points, key=point_sort_key)
-
-
 def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     """All 1-subspaces of R^n, sorted by canonical representative.
 
-    A point's canonical form is one canonical row per component, so the
-    points are the product over components of the rows of Z_{p^s}^n that
-    are already their own unit-pivot RREF: the first unit entry is 1 and
-    every entry left of it is a non-unit.  No row is reduced and none is
-    made twice.  The budget is charged |R|^n, the size of R^n, before any
-    work starts.
+    The budget is charged |R|^n, the size of R^n, before ``subspace.points``
+    lists them.
     """
-    _Budget(budget).spend(ring.order**n)
-    return _point_product(
-        n, ring, [_canonical_rows(n, c.prime, c.order) for c in ring.components]
-    )
+    charge(ring.order**n, budget)
+    return points(n, ring)
 
 
 def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:
@@ -155,28 +103,29 @@ def enumerate_subspaces(
     Every m-subspace's RREF splits one way into its first m-1 rows, a
     canonical (m-1)-subspace, and its last row, a canonical point, so each
     subspace is made exactly once and needs neither an RREF nor a dedup.
-    The budget counts (parent, point) pairs; each parent spends its pairs
-    at once.
+    The budget counts (parent, point) pairs, over all levels so far; each
+    level's pairs are charged before it is built.
     """
     if m < 0 or m > n:
         return []
     current = [Subspace.zero(ring, n)]
     if m == 0:
         return current
-    tick = _Budget(budget)
-    points = enumerate_points(n, ring, budget)
     # Column j of component i is bit i*n + j of every mask.  A pair passes
     # conditions 1 and 2 when the point's pivots lie in the parent's open
     # columns, and condition 3 when the point's support misses its pivots.
     shifts = [i * n for i in range(ring.ell)]
     point_masks = []
-    for pt in points:
+    for pt in enumerate_points(n, ring, budget):
         pivot_bits = support = 0
         for (row,), pivs, shift in zip(pt.canons, pt.pivots, shifts):
             pivot_bits |= _bits(pivs, shift)
             support |= _bits((j for j, x in enumerate(row) if x), shift)
         point_masks.append((pt, pivot_bits, support))
+    spent = 0
     for _ in range(m):
+        spent += len(current) * len(point_masks)
+        charge(spent, budget)
         nxt = []
         for sub in current:
             # open: the columns right of the last pivot where every row is 0
@@ -188,7 +137,6 @@ def enumerate_subspaces(
                     shift,
                 )
                 taken |= _bits(pivs, shift)
-            tick.spend(len(point_masks))
             for pt, pivot_bits, support in point_masks:
                 if pivot_bits & ~open_bits or support & taken:
                     continue
@@ -221,15 +169,17 @@ def enumerate_mt_subspaces(
 def count_full_rank_enumerated(
     m: int, n: int, ring: Ring, budget: int = DEFAULT_BUDGET
 ) -> int:
-    """Count full-McCoy-rank m x n matrices by scanning all of them."""
+    """Count full-McCoy-rank m x n matrices by scanning all of them.
+
+    The budget is charged the |R|^(mn) matrices before the scan starts.
+    """
     if m < 0 or n < 0 or m > n:
         return 0
     if m == 0:
         return 1
-    tick = _Budget(budget)
+    charge(ring.order ** (m * n), budget)
     total = 0
     for flat in iter_vectors(m * n, ring):
-        tick.spend()
         if all(
             zps.rank_mod_p([row[i * n : (i + 1) * n] for i in range(m)], n, c.prime) == m
             for row, c in zip(flat, ring.components)
@@ -242,14 +192,16 @@ def brute_force_dim(gens: Matrix, budget: int = DEFAULT_BUDGET) -> int:
     """Dimension of the module spanned by the rows of ``gens``, by definition.
 
     Enumerates the whole span, then searches for the largest family of
-    unimodular vectors whose stack has full McCoy rank.
+    unimodular vectors whose stack has full McCoy rank.  The budget counts
+    coefficient vectors, charged before the span is built, then families
+    tried.
     """
     ring = gens.ring
     n = gens.cols
-    tick = _Budget(budget)
+    spent = ring.order**gens.rows
+    charge(spent, budget)
     span: set[tuple] = set()
     for coeffs in iter_vectors(gens.rows, ring):
-        tick.spend()
         vec = []
         for comp_rows, crow, comp in zip(gens.comps, coeffs, ring.components):
             pe = comp.order
@@ -262,7 +214,8 @@ def brute_force_dim(gens: Matrix, budget: int = DEFAULT_BUDGET) -> int:
     candidates = [v for v in span if _is_unimodular_vector(v, ring)]
     for k in range(min(n, len(candidates)), 0, -1):
         for family in itertools.combinations(candidates, k):
-            tick.spend()
+            spent += 1
+            charge(spent, budget)
             comps = tuple(
                 tuple(v[ci] for v in family) for ci in range(ring.ell)
             )
@@ -511,7 +464,8 @@ def algebra_suite() -> list[SuiteItem]:
     ]
 
 
-# geometry imports this module, so these look its functions up when called.
+# geometry is imported when these run, so ``singular enumerate`` and
+# ``verify --suite counts`` do not load it.
 
 
 def _max_size_known(kind: str, n: int, ring: Ring) -> int | None:

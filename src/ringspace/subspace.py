@@ -10,6 +10,7 @@ to Subspace exactly when the module is free with a unimodular basis.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -76,6 +77,42 @@ class Subspace:
         if self.ring != other.ring or self.ambient != other.ambient:
             raise RingMismatchError("subspaces of different spaces")
         return all(self.contains_vector(vec) for vec in zip(*other.canons))
+
+
+def point_sort_key(p: Subspace):
+    """A point's canonical rows read column by column, all components per column."""
+    return tuple(zip(*[c[0] for c in p.canons]))
+
+
+def points(
+    n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
+) -> list[Subspace]:
+    """The points (1-subspaces) of R^n, sorted by ``point_sort_key``.
+
+    A point's canonical form is one canonical row per component, so the
+    points are the product over components of the rows of Z_{p^s}^n that
+    are already their own unit-pivot RREF: the first unit entry is 1 and
+    every entry left of it is a non-unit.  No row is reduced and none is
+    made twice.  ``blocked`` holds one set of residue keys per component; a
+    row whose residue mod p is in its component's set is left out.
+    """
+    per_comp = []
+    for i, comp in enumerate(ring.components):
+        p, pe = comp.prime, comp.order
+        keys = blocked[i] if blocked else None
+        per_comp.append([
+            ((row,), (piv,))
+            for piv in range(n)
+            for left in itertools.product(range(0, pe, p), repeat=piv)
+            for right in itertools.product(range(pe), repeat=n - piv - 1)
+            for row in [left + (1,) + right]
+            if not keys or tuple([x % p for x in row]) not in keys
+        ])
+    # zip(*combo) splits one (canon, pivots) pair per component into the two
+    pts = [
+        Subspace(ring, n, 1, *zip(*combo)) for combo in itertools.product(*per_comp)
+    ]
+    return sorted(pts, key=point_sort_key)
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,23 @@ class TestGeometryCommands:
                 argv = [group, command, "--ring", "Z4", "--points", points]
                 assert run(capsys, argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "group,ring,points,n,length",
+        [
+            # dependent in Z2^3: padded to length 3 these rows are no arc
+            ("arc", "Z2", "[[1,0],[0,1],[1,1]]", 3, 2),
+            # caps need n >= 3
+            ("cap", "Z3", "[[1,0,0]]", 2, 3),
+        ],
+    )
+    def test_n_must_match_the_point_rows(self, capsys, group, ring, points, n, length):
+        message = f"error: -n {n} does not match point rows of length {length}\n"
+        for command in ("check", "complete", "extend"):
+            argv = [group, command, "--ring", ring, "--points", points, "-n", str(n)]
+            assert run(capsys, argv) == (2, "", message)
+            argv[-1] = str(length)
+            assert run(capsys, argv)[0] == 0
+
     def test_arc_max_known_and_unknown(self, capsys):
         doc = run_json(capsys, ["arc", "max", "--ring", "Z6", "-n", "4"])
         assert doc == {"size": 5}

@@ -19,14 +19,14 @@ from ringspace import (
     parse_ring,
     verify_counts,
 )
-from ringspace import zps
+from ringspace import oracle, zps
 from ringspace.oracle import (
     DEFAULT_BUDGET,
     SuiteItem,
     extend_subspace,
     iter_vectors,
-    point_sort_key,
 )
+from ringspace.subspace import point_sort_key
 
 
 def _extend_and_dedup_levels(n, ring):
@@ -180,6 +180,54 @@ class TestBruteForceDim:
     def test_zero_module(self, z4):
         gens = Matrix.zeros(z4, 1, 2)
         assert brute_force_dim(gens) == 0
+
+
+class TestBudgetChargedFirst:
+    """An enumerator charges what a scan costs before it walks a vector, so
+    a refused call does none of the scan."""
+
+    @pytest.fixture(autouse=True)
+    def no_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("iter_vectors called")
+
+        monkeypatch.setattr(oracle, "iter_vectors", walk)
+
+    def test_full_rank_scan(self, z6):
+        # 6^9 matrices against the default 10^6
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            count_full_rank_enumerated(3, 3, z6)
+
+    def test_brute_force_dim_span(self, z6):
+        # 6^8 coefficient vectors against the default 10^6
+        rng = random.Random(8)
+        gens = Matrix.from_entries(
+            z6, [[rng.randrange(6) for _ in range(4)] for _ in range(8)]
+        )
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            brute_force_dim(gens)
+
+
+@pytest.mark.parametrize(
+    "count,spent",
+    [
+        # Z2^{2x2}: 16 matrices
+        (lambda budget: count_full_rank_enumerated(2, 2, parse_ring("Z2"), budget), 16),
+        # Z4^2 coefficient vectors, then the family {(1,0), (3,0)} fails
+        # and the family {(1,0)} passes
+        (
+            lambda budget: brute_force_dim(
+                Matrix.from_entries(parse_ring("Z4"), [[1, 0], [2, 0]]), budget
+            ),
+            18,
+        ),
+    ],
+    ids=["full rank", "brute-force dim"],
+)
+def test_scan_budget_raise_points(count, spent):
+    count(spent)
+    with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+        count(spent - 1)
 
 
 class TestFullRankEnumeration:

@@ -24,3 +24,40 @@ def test_public_names_resolve_once():
     names = ringspace.__all__
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(ringspace, n)] == []
+
+
+def _imports(path: Path):
+    """(module, names) of every import in the file; a relative module is
+    spelled from the package, ``from . import x`` as ``ringspace``."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, []
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "ringspace" + (f".{module}" if module else "")
+            yield module, [alias.name for alias in node.names]
+
+
+def test_no_private_name_crosses_modules():
+    found = [
+        f"{path.name}: from {module} import {name}"
+        for path in SOURCES
+        for module, names in _imports(path)
+        if module.split(".")[0] == "ringspace"
+        for name in names
+        if name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_geometry_stands_without_the_oracle():
+    path = Path(ringspace.__file__).parent / "geometry.py"
+    found = [
+        (module, names)
+        for module, names in _imports(path)
+        if module == "ringspace.oracle"
+        or (module == "ringspace" and "oracle" in names)
+    ]
+    assert found == []

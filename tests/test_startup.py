@@ -100,8 +100,8 @@ COUNT = BASE | {"ringspace.counting"}
 MATRIX = BASE | {"ringspace.zps", "ringspace.matrix"}
 SUBSPACE = MATRIX | {"ringspace.subspace"}
 SINGULAR = SUBSPACE | {"ringspace.singular"}
-EVERYTHING = BASE | LIBRARY
-ORACLE = EVERYTHING - {"ringspace.geometry"}
+GEOMETRY = SUBSPACE | {"ringspace.geometry"}
+ORACLE = (BASE | LIBRARY) - {"ringspace.geometry"}
 
 R = ["--ring", "Z4"]
 FOOTPRINTS = [
@@ -122,8 +122,11 @@ FOOTPRINTS = [
     (["subspace", "dual", "--matrix", "[[1,0,1]]", *R], SUBSPACE),
     (["singular", "type", "-n", "2", "-k", "1", "--matrix", "[[1,0,1]]", *R], SINGULAR),
     (["singular", "canon", "-n", "2", "-k", "1", "--matrix", "[[1,0,1]]", *R], SINGULAR),
-    # oracle imports every module but geometry, which imports oracle
-    (["arc", "max", "-n", "3", *R], EVERYTHING),
+    (["arc", "max", "-n", "3", *R], GEOMETRY),
+    (["arc", "extend", "--points", "[[1,0]]", *R], GEOMETRY),
+    (["cap", "complete", "--points", "[[1,0,0]]", *R], GEOMETRY),
+    # oracle imports every module but geometry, which its geometry suite
+    # imports when it runs
     (["singular", "enumerate", "-n", "1", "-k", "1", *R], ORACLE),
     (["verify", "-h"], ORACLE),
 ]
