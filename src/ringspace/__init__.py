@@ -12,10 +12,10 @@ __version__ = "0.1.0"
 # home module -> the public names it defines, in ``__all__`` order
 _HOMES = {
     "errors": """BudgetExceededError DEFAULT_BUDGET DomainError
-        HypothesisNotMetError NonCoprimeComponentsError NotACapError NotAnArcError
-        NotASubspaceError NotAUnitError NotFullRankError NotInvertibleError
-        PayloadError RingMismatchError RingParseError ShapeMismatchError
-        UntypedSubspaceError""",
+        HypothesisNotMetError InternalError NonCoprimeComponentsError NotACapError
+        NotAnArcError NotASubspaceError NotAUnitError NotFullRankError
+        NotInvertibleError PayloadError RingMismatchError RingParseError
+        ShapeMismatchError UntypedSubspaceError""",
     "ring": "Element LocalRing Ring parse_ring",
     "matrix": """Matrix completion extend_to_basis gl_inverse is_unimodular_rows
         mccoy_rank right_inverse""",

@@ -3,7 +3,7 @@
 One JSON document per invocation on stdout (or an aligned text table with
 --output table); diagnostics go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error (including a negative dimension), 3 verification
-mismatch.
+mismatch, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -13,7 +13,13 @@ import dataclasses
 import sys
 
 from . import serialize
-from .errors import DEFAULT_BUDGET, DomainError, PayloadError, RingParseError
+from .errors import (
+    DEFAULT_BUDGET,
+    DomainError,
+    InternalError,
+    PayloadError,
+    RingParseError,
+)
 from .ring import Ring, parse_ring
 
 
@@ -471,6 +477,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     if args.output == "table":
         print("\n".join(_render_table(payload)))
     else:

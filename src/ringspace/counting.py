@@ -12,6 +12,7 @@ Notation used in docstrings: |R_j| = p_j^{s_j} is a component's order and
 
 from __future__ import annotations
 
+from .errors import InternalError
 from .ring import Ring
 
 
@@ -55,7 +56,7 @@ def _local_subspace_count(m: int, n: int, rj: int, mj: int) -> int:
         den *= rj ** (m - i) - mj ** (m - i)
     q, r = divmod(num, den)
     if r:
-        raise AssertionError("subspace count must be an integer")
+        raise InternalError("subspace count must be an integer")
     return q
 
 

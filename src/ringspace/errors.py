@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the enumeration budget check.
 
 Everything raised on bad mathematical input derives from DomainError so the
-command line tool can map the whole family to a single exit code.
+command line tool can map the whole family to a single exit code.  A broken
+invariant, which is a bug and never the input's fault, raises InternalError.
 """
 
 
@@ -63,6 +64,10 @@ class NotACapError(DomainError):
 
 class BudgetExceededError(DomainError):
     """Enumeration or search exceeded its node budget."""
+
+
+class InternalError(AssertionError):
+    """An invariant the library relies on does not hold; this is a bug."""
 
 
 DEFAULT_BUDGET = 10**6

@@ -6,18 +6,26 @@ cap (n >= 3) when every 3 of them span a free 3-subspace.  Sets smaller
 than the defining size are accepted when they are in general position.
 
 Every query reduces each stack of points once per component with
-``zps.echelon_add_mod_p``.  A point c extends a set exactly when, in every
-component, c mod p lies outside the span of every (k-1)-subset of the set
-(all of it, when it has fewer than k points), k being n for arcs and 3 for
-caps: the set's hyperplanes, or its secant lines.  So the extension queries
-cover spans instead of testing points: each stack's span points are marked
-blocked once, and a point is kept when its residue key is blocked in no
-component, so the kept points are a product over components and only they
-are built (the covering view of complete caps in Hirschfeld, *Projective
-Geometries over Finite Fields*, 1998).  The residue of a canonical row
-needs no reduction to serve as a key: only non-units lie left of its unit
-pivot 1, so mod p it is already 1 at its first nonzero entry, which is how
-the span points are normalised too.
+``zps.echelon_add_mod_p``.  Let k be n for arcs and 3 for caps.  The
+membership test and the search ask whether S + (x, c) is independent mod p
+for a (k-2)-subset S: reduced against S, a point leaves a class key (the
+remainder, scaled to 1 at its first nonzero entry) or none (it lies in the
+span of S), and S + (x, c) is dependent exactly when x or c has no key or
+both have the same one.  The classes are the flats one dimension above
+span(S): the lines through a point for caps, the hyperplanes through an
+(n-2)-set for arcs.
+
+The extension queries cover spans instead of testing points: a point c
+extends a set exactly when, in every component, c mod p lies outside the
+span of every (k-1)-subset of the set (all of it, when it has fewer than k
+points), that is its hyperplanes or its secant lines.  Each stack's span
+points are marked blocked once, and a point is kept when its residue key is
+blocked in no component, so the kept points are a product over components
+and only they are built (the covering view of complete caps in Hirschfeld,
+*Projective Geometries over Finite Fields*, 1998).  The residue of a
+canonical row needs no reduction to serve as a key: only non-units lie left
+of its unit pivot 1, so mod p it is already 1 at its first nonzero entry,
+which is how the span points are normalised too.
 
 Completeness is computed along two independent routes and cross-checked:
 directly (no point extends the set) and via the residue-field projections
@@ -30,6 +38,7 @@ establish the value by exhaustion.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,6 +48,7 @@ from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DomainError,
+    InternalError,
     NotACapError,
     NotAnArcError,
     RingMismatchError,
@@ -104,6 +114,24 @@ def _reduce(stack: Sequence[Sequence[tuple[int, ...]]], primes: Sequence[int]) -
     return tuple(reduced)
 
 
+def _keys(stack, later, primes: Sequence[int]) -> list[list] | None:
+    """Each later point's class key over the stack, per component.
+
+    The stack and the later points are as ``_rows``.  A key is the row that
+    ``zps.echelon_add_mod_p`` appends for the point to the stack's basis,
+    or None when the point lies in the stack's span, so two points outside
+    the span share a key in a component exactly when the stack plus both is
+    dependent there.  None when the stack itself is dependent somewhere.
+    """
+    out = []
+    for ci, (basis, p) in enumerate(zip(_reduce(stack, primes), primes)):
+        if basis is None:
+            return None
+        added = [zps.echelon_add_mod_p(basis, rows[ci], p) for rows in later]
+        out.append([None if a is None else a[-1][1] for a in added])
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class _Kind:
     """What tells arcs from caps; the algorithms below are shared."""
@@ -135,8 +163,10 @@ _CAP = _Kind("cap", "a", 3, 3, NotACapError)
 def _in_general_position(ps: PointSet, kind: _Kind) -> bool:
     """Every k points (all, when fewer) are independent in every component.
 
-    Each (k-1)-subset S is reduced once and only the points after max(S)
-    are tested against it, so each k-subset is checked exactly once.
+    A k-subset is checked from its first k-2 points S: S is independent and
+    the later points have distinct class keys over S.  Each S with two or
+    more points after it has its keys taken once, so each k-subset is
+    checked exactly once.
     """
     kind.check_ambient(ps.ambient)
     k = kind.size(ps.ambient)
@@ -144,16 +174,13 @@ def _in_general_position(ps: PointSet, kind: _Kind) -> bool:
     rows = _rows(ps.points)
     if len(rows) < k:
         return None not in _reduce(rows, primes)
-    for subset in itertools.combinations(range(len(rows) - 1), k - 1):
-        reduced = _reduce([rows[i] for i in subset], primes)
-        if None in reduced:
+    for subset in itertools.combinations(range(len(rows) - 2), k - 2):
+        later = rows[subset[-1] + 1 :] if subset else rows
+        keys = _keys([rows[i] for i in subset], later, primes)
+        if keys is None or any(
+            None in ckeys or len(set(ckeys)) < len(ckeys) for ckeys in keys
+        ):
             return False
-        for crows in rows[subset[-1] + 1 :]:
-            if any(
-                zps.echelon_add_mod_p(basis, row, p) is None
-                for basis, row, p in zip(reduced, crows, primes)
-            ):
-                return False
     return True
 
 
@@ -231,7 +258,7 @@ def _is_complete(ps: PointSet, kind: _Kind, is_kind, budget: int) -> bool:
         for i in range(ps.ring.ell)
     )
     if direct != by_projection:
-        raise AssertionError("completeness criteria disagree; this is a bug")
+        raise InternalError("completeness criteria disagree; this is a bug")
     return direct
 
 
@@ -289,8 +316,6 @@ def _field_cap_rows(n: int, qs: Sequence[int]) -> list[int]:
         vals.append(20)
     if n == 6 and all(q == 3 for q in qs):
         vals.append(56)
-    if n == 5 and all(q == 4 for q in qs):
-        vals.append(41)
     return vals
 
 
@@ -300,7 +325,7 @@ def _max_size(n: int, ring: Ring, kind: _Kind, table_rows) -> int | None:
     if not vals:
         return None
     if len(set(vals)) != 1:
-        raise AssertionError("table rows must agree where they overlap")
+        raise InternalError("table rows must agree where they overlap")
     return vals[0]
 
 
@@ -341,49 +366,42 @@ def _search(
     candidates are exactly those admissible to ``current``, as the caller's
     root list is for ``base``.  Picking x keeps those later candidates c
     for which every k-point set through both x and c has full rank:
-    ``current + (x, c)`` itself while it has at most k points, else
-    ``S + (x, c)`` for every (k-2)-subset S of ``current``.  The k-point
-    sets without x were checked when c entered the candidates.
+    ``S + (x, c)`` for every (k-2)-subset S of ``current`` (all of it while
+    it is smaller).  The k-point sets without x were checked when c entered
+    the candidates.
 
     Points are indexed into one pool, base then candidates, so a bit's
     position is its canonical order, and a node's candidates are an int
     mask taken lowest bit first (Östergård 2002 keeps clique candidates the
-    same way).  The nodes and their order, hence the node count and what
+    same way).  For each S met, the pool points after it are split into
+    their class keys over S (module docstring), one mask per class, kept
+    for this one call.  The candidates c with S + (x, c) dependent in some
+    component are the union over components of x's class, and the child
+    drops them.  The nodes and their order, hence the node count and what
     the budget means, are those of testing every later candidate against
     all of ``current``.
-
-    Each through-stack ``S + (x,)`` is keyed by its pool indices, which are
-    sorted because ``current`` holds increasing indices and x exceeds them.
-    A memo that lives for this one call holds, per stack, its rows reduced
-    mod p in every component, the candidate bits tested against it so far
-    and those that passed; a later query tests only bits it has not seen.
-    The memo has one entry per distinct stack visited.
     """
     pool = base + candidates
     primes = [c.prime for c in ring.components]
     rows = _rows(pool)
-    memo: dict[tuple[int, ...], list] = {}
 
-    def admissible(stack: tuple[int, ...], rest: int) -> int:
-        """The bits c of rest (or more) for which stack + (c,) has full rank."""
-        entry = memo.get(stack)
-        if entry is None:
-            entry = memo[stack] = [_reduce([rows[i] for i in stack], primes), 0, 0]
-        reduced, tested, passed = entry
-        untested = rest & ~tested
-        if untested and None not in reduced:
-            entry[1] = tested | untested
-            while untested:
-                low = untested & -untested
-                untested ^= low
-                crows = rows[low.bit_length() - 1]
-                if all(
-                    zps.echelon_add_mod_p(basis, row, p) is not None
-                    for basis, row, p in zip(reduced, crows, primes)
-                ):
-                    passed |= low
-            entry[2] = passed
-        return passed
+    @functools.cache
+    def through(s: tuple[int, ...]) -> tuple[int, list[list[int]]]:
+        """The first pool point after s, and per component each later pool
+        point's class mask over s.
+
+        s lies in ``current``, which is admissible, and the candidates are
+        admissible to it, so s is independent and no candidate lies in its
+        span: every key that reaches a candidate mask is a class key.
+        """
+        start = s[-1] + 1 if s else 0
+        masks = []
+        for ckeys in _keys([rows[i] for i in s], rows[start:], primes):
+            classes: dict[tuple[int, ...], int] = {}
+            for i, key in enumerate(ckeys, start):
+                classes[key] = classes.get(key, 0) | 1 << i
+            masks.append([classes[key] for key in ckeys])
+        return start, masks
 
     best: tuple[int, ...] = tuple(range(len(base)))
     nodes = 0
@@ -404,7 +422,9 @@ def _search(
             for s in subsets:
                 if not rest:
                     break
-                rest &= admissible(s + (x,), rest)
+                start, masks = through(s)
+                for cmasks in masks:
+                    rest &= ~cmasks[x - start]
             dfs(current + (x,), rest)
 
     dfs(best, ((1 << len(candidates)) - 1) << len(base))
@@ -416,7 +436,7 @@ def _search_max(
 ) -> PointSet:
     base_set = PointSet.from_rows(ring, frame)
     if not is_kind(base_set):
-        raise AssertionError("the pinned frame is not admissible; this is a bug")
+        raise InternalError("the pinned frame is not admissible; this is a bug")
     n = base_set.ambient
     k = kind.size(n)
     candidates = _extensions(base_set, k, budget)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import zps
-from .errors import RingMismatchError, RingParseError, ShapeMismatchError
+from .errors import InternalError, RingMismatchError, RingParseError, ShapeMismatchError
 from .ring import Element, Ring
 
 Rows = tuple[tuple[int, ...], ...]
@@ -195,5 +195,5 @@ def extend_to_basis(a: Matrix) -> Matrix:
     """
     ext = gl_inverse(completion(a))
     if not all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps)):
-        raise AssertionError("the extended basis must start with the input rows")
+        raise InternalError("the extended basis must start with the input rows")
     return ext

@@ -1,6 +1,6 @@
 """Finite commutative rings as products of local rings Z_{p^s}.
 
-A ring spec string is ``Z<m>`` with m >= 2, or a product such as
+A ring spec string is ``Z<m>`` with 2 <= m <= 2^32, or a product such as
 ``Z4xZ9`` / ``Z12xZ2``.  Every factor is split into its prime power parts,
 all parts are pooled and sorted by (prime, exponent), so ``Z12`` and
 ``Z4xZ3`` denote the same ring.  Elements are tuples of residues, one per
@@ -22,7 +22,7 @@ from .errors import (
     RingParseError,
 )
 
-_FACTOR_RE = re.compile(r"^[Zz](\d+)$")
+_FACTOR_RE = re.compile(r"^[Zz]0*(\d+)$")
 
 
 def _prime_power_parts(m: int) -> list[tuple[int, int]]:
@@ -246,7 +246,12 @@ def parse_ring(text: str) -> Ring:
         m = _FACTOR_RE.match(token.strip())
         if not m:
             raise RingParseError(f"bad ring factor {token!r}")
-        n = int(m.group(1))
+        digits = m.group(1)
+        # factoring is trial division, so large factors are refused before it;
+        # the pattern drops leading zeros, so the digit count bounds the value
+        if len(digits) > 10 or int(digits) > 2**32:
+            raise RingParseError(f"ring factor {token!r} is above 2^32")
+        n = int(digits)
         if n < 2:
             raise RingParseError(f"Z{n} is not a valid factor (need m >= 2)")
         parts.extend(LocalRing(p, e) for p, e in _prime_power_parts(n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UntypedSubspaceError
+from .errors import InternalError, UntypedSubspaceError
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank
 from .ring import Ring
 from .subspace import LinearSubset, Subspace, as_subspace, meet
@@ -110,7 +110,7 @@ def canonical_mt_transform(
         coeff_comps.append(tuple(tuple(row[c] for c in piv) for row in f_rows))
     coeff = Matrix(ring, t, m, tuple(coeff_comps))
     if coeff.mul(a).comps != f.comps:
-        raise AssertionError("tail rows must lie in P")
+        raise InternalError("tail rows must lie in P")
 
     # invertible row mix G with the tail coefficients as its last t rows
     ext = extend_to_basis(coeff)  # coeff rows first
@@ -143,9 +143,9 @@ def canonical_mt_transform(
         else Subspace.zero(ring, n + k)
     )
     if not is_in_gl_nk(trans, space):
-        raise AssertionError("the transform must lie in the block group")
+        raise InternalError("the transform must lie in the block group")
     if Subspace.from_matrix(a.mul(trans)) != target:
-        raise AssertionError("the transform must carry P to the canonical subspace")
+        raise InternalError("the transform must carry P to the canonical subspace")
     return trans, target
 
 

@@ -17,6 +17,7 @@ from functools import cached_property
 from . import zps
 from .errors import (
     HypothesisNotMetError,
+    InternalError,
     NotASubspaceError,
     RingMismatchError,
     ShapeMismatchError,
@@ -282,11 +283,11 @@ def _status(
     join_free = j.is_free
     meet_free = m.is_free
     if not (formula == join_free == meet_free):
-        raise AssertionError(
+        raise InternalError(
             "dimension formula equivalence violated; this is a bug"
         )
     if not (max(a.dim, b.dim) <= dim_join <= min(a.ambient, a.dim + b.dim - dim_meet)):
-        raise AssertionError("join dimension out of proven bounds; this is a bug")
+        raise InternalError("join dimension out of proven bounds; this is a bug")
     return DimensionStatus(
         a.dim, b.dim, dim_join, dim_meet, formula, join_free, meet_free
     )

@@ -7,7 +7,7 @@ delegates to; they know nothing about product rings.
 
 from __future__ import annotations
 
-from .errors import NotFullRankError, NotInvertibleError
+from .errors import InternalError, NotFullRankError, NotInvertibleError
 
 
 def val(x: int, p: int, s: int) -> int:
@@ -28,7 +28,7 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 def matmul(a, b, pe: int) -> tuple[tuple[int, ...], ...]:
     """Product of an m x k and a k x n matrix mod pe."""
     if a and b and len(a[0]) != len(b):
-        raise AssertionError("inner dimensions of the product differ")
+        raise InternalError("inner dimensions of the product differ")
     bt = list(zip(*b)) if b else []
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % pe for col in bt)

@@ -448,6 +448,23 @@ class TestContract:
         assert code == 2
         assert out == ""
 
+    def test_huge_ring_factor_is_usage_error(self, capsys):
+        code, out, err = run(capsys, ["ring", "info", "--ring", "Z2305843009213693951"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        """A broken invariant exits 4 with one stderr line, not a traceback."""
+        from ringspace import geometry
+
+        full = geometry.PointSet.from_rows(parse_ring("Z2"), [[1, 0], [0, 1], [1, 1]])
+        # the projection route now calls every arc complete
+        monkeypatch.setattr(geometry, "project_point_set", lambda ps, i: full)
+        argv = ["arc", "complete", "--ring", "Z2", "--points", "[[1,0],[0,1]]"]
+        assert run(capsys, argv) == (
+            4, "", "internal error: completeness criteria disagree; this is a bug\n"
+        )
+
     def test_exit_code_usage_bad_payload(self, capsys):
         code, _, err = run(
             capsys, ["matrix", "rank", "--ring", "Z4", "--matrix", "[[1,"]

@@ -402,8 +402,14 @@ class TestSizeTables:
 
 
 class TestSearch:
+    # each table row the search reaches in well under a second
     @pytest.mark.parametrize(
-        "spec,n,size", [("Z4", 2, 3), ("Z6", 2, 3), ("Z4", 3, 4), ("Z6", 3, 4)]
+        "spec,n,size",
+        [
+            ("Z4", 2, 3), ("Z6", 2, 3), ("Z4", 3, 4), ("Z6", 3, 4), ("Z3", 4, 5),
+            ("Z3", 5, 6), ("Z5", 5, 6), ("Z7", 4, 8), ("Z7", 5, 8), ("Z11", 3, 12),
+            ("Z35", 3, 6),
+        ],
     )
     def test_max_arc(self, spec, n, size):
         ring = parse_ring(spec)
@@ -413,7 +419,11 @@ class TestSearch:
         assert is_complete_arc(ps)
         assert len(ps.points) == max_arc_size_formula(n, ring)
 
-    @pytest.mark.parametrize("spec,n,size", [("Z4", 3, 4), ("Z6", 3, 4), ("Z2", 4, 8)])
+    @pytest.mark.parametrize(
+        "spec,n,size",
+        [("Z4", 3, 4), ("Z6", 3, 4), ("Z2", 4, 8), ("Z2", 5, 16), ("Z10", 3, 4),
+         ("Z15", 3, 4)],
+    )
     def test_max_cap(self, spec, n, size):
         ring = parse_ring(spec)
         ps = search_max_cap(n, ring)

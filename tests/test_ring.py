@@ -42,6 +42,14 @@ class TestParse:
         with pytest.raises(RingParseError):
             parse_ring(bad)
 
+    def test_factor_above_2_32_refused(self):
+        # refused before factoring: trial division of 2^61 - 1 ran for minutes
+        assert parse_ring(f"Z{2**32}").components[0].exponent == 32
+        assert parse_ring("Z4294967291").order == 4294967291  # largest prime < 2^32
+        for spec in [f"Z{2**32 + 1}", "Z2305843009213693951", "Z4xZ" + "9" * 5000]:
+            with pytest.raises(RingParseError, match=r"above 2\^32"):
+                parse_ring(spec)
+
     def test_empty_component_tuple_rejected(self):
         with pytest.raises(RingParseError):
             Ring(())

@@ -9,7 +9,7 @@ SOURCES = sorted(Path(ringspace.__file__).parent.glob("*.py"))
 
 
 def test_no_bare_assert():
-    # python -O strips assert statements; invariants raise AssertionError
+    # python -O strips assert statements; invariants raise InternalError
     found = [
         f"{path.name}:{node.lineno}"
         for path in SOURCES
@@ -17,6 +17,19 @@ def test_no_bare_assert():
         if isinstance(node, ast.Assert)
     ]
     assert len(SOURCES) > 1
+    assert found == []
+
+
+def test_invariants_raise_internal_error():
+    # the command line maps InternalError, not any AssertionError, to exit 4
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", None) == "AssertionError"
+    ]
     assert found == []
 
 
