@@ -23,6 +23,9 @@ from .errors import (
 )
 
 _FACTOR_RE = re.compile(r"^[Zz]0*(\d+)$")
+# factoring is trial division, so factors and primes past this are refused
+# before it runs: at most 2^16 divisions each
+MAX_FACTOR = 2**32
 
 
 def _prime_power_parts(m: int) -> list[tuple[int, int]]:
@@ -53,7 +56,9 @@ class LocalRing:
         if self.exponent < 1:
             raise RingParseError(f"exponent must be >= 1, got {self.exponent}")
         p = self.prime
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p > MAX_FACTOR:
+            raise RingParseError(f"prime {p} is above 2^32")
+        if _prime_power_parts(p) != [(p, 1)]:
             raise RingParseError(f"{p} is not prime")
 
     @property
@@ -247,9 +252,8 @@ def parse_ring(text: str) -> Ring:
         if not m:
             raise RingParseError(f"bad ring factor {token!r}")
         digits = m.group(1)
-        # factoring is trial division, so large factors are refused before it;
         # the pattern drops leading zeros, so the digit count bounds the value
-        if len(digits) > 10 or int(digits) > 2**32:
+        if len(digits) > 10 or int(digits) > MAX_FACTOR:
             raise RingParseError(f"ring factor {token!r} is above 2^32")
         n = int(digits)
         if n < 2:

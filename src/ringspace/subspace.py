@@ -11,6 +11,7 @@ to Subspace exactly when the module is free with a unimodular basis.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +24,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .matrix import Matrix, completion
-from .ring import Ring
+from .ring import LocalRing, Ring
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -85,35 +86,69 @@ def point_sort_key(p: Subspace):
     return tuple(zip(*[c[0] for c in p.canons]))
 
 
-def points(
-    n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
-) -> list[Subspace]:
-    """The points (1-subspaces) of R^n, sorted by ``point_sort_key``.
+def shapes(m: int, n: int, comp: LocalRing):
+    """Per pivot set of m columns, the values each canonical row may take.
 
-    A point's canonical form is one canonical row per component, so the
-    points are the product over components of the rows of Z_{p^s}^n that
-    are already their own unit-pivot RREF: the first unit entry is 1 and
-    every entry left of it is a non-unit.  No row is reduced and none is
-    made twice.  ``blocked`` holds one set of residue keys per component; a
-    row whose residue mod p is in its component's set is left out.
+    An m-subspace's canonical form over Z_{p^s} has increasing pivots, and
+    its row with pivot c is 1 at c, 0 at the other pivots, a multiple of p
+    left of c and anything right of c.  Yields (pivots, shape), where
+    ``shape[i][j]`` lists the values of row i in column j; every choice of
+    values gives a different matrix, and each is its own canonical form.
+    """
+    p, pe = comp.prime, comp.order
+    for pivs in itertools.combinations(range(n), m):
+        yield pivs, [
+            [
+                (1,) if j == c else (0,) if j in pivs
+                else range(0, pe, p) if j < c else range(pe)
+                for j in range(n)
+            ]
+            for c in pivs
+        ]
+
+
+def shape_count(m: int, n: int, ring: Ring) -> int:
+    """The number of m-subspaces of R^n, read off ``shapes`` without building any."""
+    return math.prod(
+        sum(
+            math.prod(len(vals) for row in shape for vals in row)
+            for _, shape in shapes(m, n, comp)
+        )
+        for comp in ring.components
+    )
+
+
+def subspaces(
+    m: int, n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
+) -> list[Subspace]:
+    """Every m-subspace of R^n, each built once in canonical form, unsorted.
+
+    They are the product over components of the matrices that ``shapes``
+    allows, so no matrix is reduced and none is made twice.  ``blocked``
+    (for m = 1) holds one set of residue keys per component; a row whose
+    residue mod p is in its component's set is left out.
     """
     per_comp = []
     for i, comp in enumerate(ring.components):
-        p, pe = comp.prime, comp.order
+        p = comp.prime
         keys = blocked[i] if blocked else None
         per_comp.append([
-            ((row,), (piv,))
-            for piv in range(n)
-            for left in itertools.product(range(0, pe, p), repeat=piv)
-            for right in itertools.product(range(pe), repeat=n - piv - 1)
-            for row in [left + (1,) + right]
-            if not keys or tuple([x % p for x in row]) not in keys
+            (rows, pivs)
+            for pivs, shape in shapes(m, n, comp)
+            for rows in itertools.product(*[itertools.product(*row) for row in shape])
+            if not keys or tuple([x % p for x in rows[0]]) not in keys
         ])
     # zip(*combo) splits one (canon, pivots) pair per component into the two
-    pts = [
-        Subspace(ring, n, 1, *zip(*combo)) for combo in itertools.product(*per_comp)
+    return [
+        Subspace(ring, n, m, *zip(*combo)) for combo in itertools.product(*per_comp)
     ]
-    return sorted(pts, key=point_sort_key)
+
+
+def points(
+    n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
+) -> list[Subspace]:
+    """The points (1-subspaces) of R^n less ``blocked``, by ``point_sort_key``."""
+    return sorted(subspaces(1, n, ring, blocked), key=point_sort_key)
 
 
 @dataclass(frozen=True)

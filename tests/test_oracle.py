@@ -19,14 +19,14 @@ from ringspace import (
     parse_ring,
     verify_counts,
 )
-from ringspace import oracle, zps
+from ringspace import oracle, subspace, zps
 from ringspace.oracle import (
     DEFAULT_BUDGET,
     SuiteItem,
     extend_subspace,
     iter_vectors,
 )
-from ringspace.subspace import point_sort_key
+from ringspace.subspace import point_sort_key, shape_count, subspaces
 
 
 def _extend_and_dedup_levels(n, ring):
@@ -153,6 +153,54 @@ class TestSubspaceEnumeration:
             assert got == expected
             assert len({s.canons for s in got}) == len(got)
 
+    @pytest.mark.parametrize(
+        "name,n,m",
+        [
+            ("Z6", 3, 2), ("Z6", 3, 3), ("Z12", 3, 3), ("Z2xZ2", 3, 2),
+            ("Z2xZ2", 3, 3), ("Z9", 2, 2), ("Z27", 2, 2),
+        ],
+    )
+    def test_raise_point_is_the_pair_total(self, name, n, m):
+        # the (parent, point) pairs of the levels below m, which here exceed
+        # the |R|^n charged for the points
+        ring = parse_ring(name)
+        levels = list(itertools.islice(_extend_and_dedup_levels(n, ring), m))
+        pairs = sum(map(len, levels)) * len(levels[1])
+        assert pairs > ring.order**n
+        found = enumerate_subspaces(m, n, ring, budget=pairs)
+        assert len(found) == count_subspaces(m, n, ring)
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            enumerate_subspaces(m, n, ring, budget=pairs - 1)
+
+    def test_no_level_charges_nothing(self, z6):
+        assert enumerate_subspaces(0, 3, z6, budget=0) == [Subspace.zero(z6, 3)]
+        assert enumerate_subspaces(4, 3, z6, budget=0) == []
+        assert enumerate_subspaces(-1, 3, z6, budget=0) == []
+
+    @pytest.mark.parametrize(
+        "name", ["Z2", "Z4", "Z8", "Z9", "Z27", "Z25", "Z2xZ4", "Z12", "Z5xZ25"]
+    )
+    def test_shape_count_is_the_formula(self, name):
+        ring = parse_ring(name)
+        for n in range(7):
+            for m in range(n + 1):
+                want = count_subspaces(m, n, ring)
+                assert shape_count(m, n, ring) == want
+                if want <= 2000:
+                    assert len(subspaces(m, n, ring)) == want
+
+    def test_refused_call_builds_nothing(self, monkeypatch, z2, z6):
+        def build(*args, **kwargs):
+            raise AssertionError("built before the budget was charged")
+
+        for module in (oracle, subspace):
+            monkeypatch.setattr(module, "points", build, raising=False)
+            monkeypatch.setattr(module, "subspaces", build, raising=False)
+        # 2^19 - 1 points fit the default budget, their pairs do not
+        for m, n, ring in [(2, 19, z2), (3, 4, z6)]:
+            with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+                enumerate_subspaces(m, n, ring)
+
     def test_extension_step(self, z4):
         line = enumerate_subspaces(1, 2, z4)[0]
         for pt in enumerate_points(2, z4):
@@ -275,9 +323,9 @@ class TestHarness:
         from ringspace.oracle import SUITES
 
         sizes = {name: len(build()) for name, build in SUITES.items()}
-        assert sizes == {"counts": 251, "algebra": 8, "geometry": 7}
+        assert sizes == {"counts": 301, "algebra": 8, "geometry": 7}
         queries = [item.query for build in SUITES.values() for item in build()]
-        assert len(queries) == len(set(queries)) == 266
+        assert len(queries) == len(set(queries)) == 316
 
     def test_named_suites_resolve(self):
         from ringspace.oracle import SUITES

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringspace import (
+    LocalRing,
     NonCoprimeComponentsError,
     NotAUnitError,
     Ring,
@@ -49,6 +50,19 @@ class TestParse:
         for spec in [f"Z{2**32 + 1}", "Z2305843009213693951", "Z4xZ" + "9" * 5000]:
             with pytest.raises(RingParseError, match=r"above 2\^32"):
                 parse_ring(spec)
+
+    def test_local_ring_prime_above_2_32_refused(self):
+        # the constructor shares parse_ring's bound, so it never runs trial
+        # division past 2^16 steps; 2^61 - 1 used to run for minutes
+        assert LocalRing(4294967291, 1).order == 4294967291
+        for p in [2**61 - 1, 2**32 + 15, 10**400]:
+            with pytest.raises(RingParseError, match=r"above 2\^32"):
+                LocalRing(p, 1)
+
+    @pytest.mark.parametrize("p", [-7, 0, 1, 4, 9, 91, 4294967295])
+    def test_local_ring_needs_a_prime(self, p):
+        with pytest.raises(RingParseError, match="not prime"):
+            LocalRing(p, 1)
 
     def test_empty_component_tuple_rejected(self):
         with pytest.raises(RingParseError):

@@ -74,3 +74,31 @@ def test_geometry_stands_without_the_oracle():
         or (module == "ringspace" and "oracle" in names)
     ]
     assert found == []
+
+
+def test_enumerators_stand_without_the_formulas():
+    # verify checks the formulas of counting against these enumerators, so
+    # neither the generator nor the budget arithmetic may use a formula
+    pkg = Path(ringspace.__file__).parent
+    counting = ast.parse((pkg / "counting.py").read_text())
+    formulas = {"counting"} | {
+        node.name for node in counting.body if isinstance(node, ast.FunctionDef)
+    }
+    found = [
+        (module, names)
+        for module, names in _imports(pkg / "subspace.py")
+        if module == "ringspace.counting"
+        or (module == "ringspace" and "counting" in names)
+    ]
+    oracle = ast.parse((pkg / "oracle.py").read_text())
+    found += [
+        (node.name, name)
+        for node in oracle.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("enumerate_subspaces", "enumerate_points")
+        for sub in ast.walk(node)
+        for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
+        if name in formulas
+    ]
+    assert "count_subspaces" in formulas
+    assert found == []
