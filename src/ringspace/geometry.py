@@ -374,34 +374,44 @@ def _search(
     position is its canonical order, and a node's candidates are an int
     mask taken lowest bit first (Östergård 2002 keeps clique candidates the
     same way).  For each S met, the pool points after it are split into
-    their class keys over S (module docstring), one mask per class, kept
-    for this one call.  The candidates c with S + (x, c) dependent in some
-    component are the union over components of x's class, and the child
-    drops them.  The nodes and their order, hence the node count and what
-    the budget means, are those of testing every later candidate against
-    all of ``current``.
+    their class keys over S (module docstring), and each gets one conflict
+    row: the union over components of its class, kept for this one call.
+    The child for x drops every candidate in x's row for some S.
+
+    The search stops a node's loop as soon as ``current`` plus every
+    candidate left, x included, is no larger than ``best``: no later
+    sibling's subtree can then hold a larger set.  ``best`` changes only to
+    a strictly larger set and the nodes kept are visited in the same order,
+    so the first maximum found, and the result, are those of the search
+    without this bound.  The node count, and so where the budget runs out,
+    is that of the bounded search: at most the nodes of testing every later
+    candidate against all of ``current``.  A child's candidates are
+    filtered only until the bound is sure to stop it at once; it then gets
+    a superset of them, which stops it all the same, and the rows of the
+    remaining S are not built for it.
     """
     pool = base + candidates
     primes = [c.prime for c in ring.components]
     rows = _rows(pool)
 
     @functools.cache
-    def through(s: tuple[int, ...]) -> tuple[int, list[list[int]]]:
-        """The first pool point after s, and per component each later pool
-        point's class mask over s.
+    def through(s: tuple[int, ...]) -> list[int]:
+        """Each pool point's conflict row over s: the union over components
+        of its class mask, 0 for the points up to s.
 
         s lies in ``current``, which is admissible, and the candidates are
         admissible to it, so s is independent and no candidate lies in its
-        span: every key that reaches a candidate mask is a class key.
+        span: every key that reaches a candidate's row is a class key.
         """
         start = s[-1] + 1 if s else 0
-        masks = []
+        conf = [0] * len(pool)
         for ckeys in _keys([rows[i] for i in s], rows[start:], primes):
             classes: dict[tuple[int, ...], int] = {}
             for i, key in enumerate(ckeys, start):
                 classes[key] = classes.get(key, 0) | 1 << i
-            masks.append([classes[key] for key in ckeys])
-        return start, masks
+            for i, key in enumerate(ckeys, start):
+                conf[i] |= classes[key]
+        return conf
 
     best: tuple[int, ...] = tuple(range(len(base)))
     nodes = 0
@@ -414,17 +424,17 @@ def _search(
         if len(current) > len(best):
             best = current
         subsets = list(itertools.combinations(current, min(len(current), k - 2)))
-        while cands:
+        while len(current) + cands.bit_count() > len(best):
             low = cands & -cands
             cands ^= low
             x = low.bit_length() - 1
             rest = cands
+            # the child returns at once when at most this many are left
+            spare = max(len(best) - len(current) - 1, 0)
             for s in subsets:
-                if not rest:
+                if rest.bit_count() <= spare:
                     break
-                start, masks = through(s)
-                for cmasks in masks:
-                    rest &= ~cmasks[x - start]
+                rest &= ~through(s)[x]
             dfs(current + (x,), rest)
 
     dfs(best, ((1 << len(candidates)) - 1) << len(base))

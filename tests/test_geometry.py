@@ -129,9 +129,12 @@ def _ref_in_general_position(ps, k):
     )
 
 
-def _full_check_search(base, candidates, k, ring, n):
+def _full_check_search(base, candidates, k, ring, n, bounded=False):
     """The search without forward checking: every node tests each later
-    candidate against all of current.  Returns the best set and the nodes."""
+    candidate against all of current.  Returns the best set and the nodes.
+
+    With ``bounded`` a node stops, as ``geometry._search`` does, once
+    current plus its admitted candidates left cannot beat best."""
     best = list(base)
     nodes = 0
 
@@ -140,9 +143,12 @@ def _full_check_search(base, candidates, k, ring, n):
         nodes += 1
         if len(current) > len(best):
             best = list(current)
-        for i, cand in enumerate(cands):
-            if _admits(PointSet(ring, n, tuple(current)), cand, k):
-                dfs(current + [cand], cands[i + 1 :])
+        ps = PointSet(ring, n, tuple(current))
+        admitted = [c for c in cands if _admits(ps, c, k)]
+        for i, cand in enumerate(admitted):
+            if bounded and len(current) + len(admitted) - i <= len(best):
+                break
+            dfs(current + [cand], admitted[i + 1 :])
 
     dfs(list(base), candidates)
     return best, nodes
@@ -408,7 +414,7 @@ class TestSearch:
         [
             ("Z4", 2, 3), ("Z6", 2, 3), ("Z4", 3, 4), ("Z6", 3, 4), ("Z3", 4, 5),
             ("Z3", 5, 6), ("Z5", 5, 6), ("Z7", 4, 8), ("Z7", 5, 8), ("Z11", 3, 12),
-            ("Z35", 3, 6),
+            ("Z35", 3, 6), ("Z13", 3, 14),
         ],
     )
     def test_max_arc(self, spec, n, size):
@@ -422,7 +428,7 @@ class TestSearch:
     @pytest.mark.parametrize(
         "spec,n,size",
         [("Z4", 3, 4), ("Z6", 3, 4), ("Z2", 4, 8), ("Z2", 5, 16), ("Z10", 3, 4),
-         ("Z15", 3, 4)],
+         ("Z15", 3, 4), ("Z2", 6, 32), ("Z11", 3, 12)],
     )
     def test_max_cap(self, spec, n, size):
         ring = parse_ring(spec)
@@ -475,9 +481,10 @@ class TestSearch:
         ],
     )
     def test_forward_checking_matches_full_check(self, kind, n, spec):
-        """The search visits the nodes of the search that tests every later
-        candidate against all of current, in the same order: same result,
-        and the budget runs out at the same node."""
+        """The search returns what the unbounded search that tests every
+        later candidate against all of current returns, and the budget runs
+        out where the same search with the size bound runs out, at no more
+        nodes than the unbounded one."""
         ring = parse_ring(spec)
         k = n if kind == "arc" else 3
         frame = [[int(i == j) for j in range(n)] for i in range(k)]
@@ -495,10 +502,33 @@ class TestSearch:
         want, nodes = _full_check_search(base, candidates, k, ring, n)
         found = getattr(geometry, f"search_max_{kind}")(n, ring)
         assert found.points == PointSet.of(ring, n, want).points
-        got = geometry._search(base, candidates, k, ring, n, nodes)
+        bounded, pruned = _full_check_search(base, candidates, k, ring, n, True)
+        assert [p.canons for p in bounded] == [p.canons for p in want]
+        assert pruned <= nodes
+        got = geometry._search(base, candidates, k, ring, n, pruned)
         assert [p.canons for p in got] == [p.canons for p in want]
         with pytest.raises(BudgetExceededError):
-            geometry._search(base, candidates, k, ring, n, nodes - 1)
+            geometry._search(base, candidates, k, ring, n, pruned - 1)
+
+    def test_benchmark_search_raise_points(self, z3):
+        """The benchmark's two costly searches spend exactly these nodes.
+
+        The arc search over Z7^4 first charges |R|^n = 2,401 units for its
+        candidates, so under a budget of 60 it stops there."""
+        found = search_max_cap(4, z3, budget=2_625)
+        assert found.points == search_max_cap(4, z3).points
+        with pytest.raises(BudgetExceededError, match="^search budget"):
+            search_max_cap(4, z3, budget=2_624)
+        z7 = parse_ring("Z7")
+        base_set = PointSet.from_rows(z7, [*zps.identity(4), (1,) * 4])
+        base = list(base_set.points)
+        candidates = extend_arc(base_set)
+        got = geometry._search(base, candidates, 4, z7, 4, 60)
+        assert got == list(search_max_arc(4, z7).points)
+        with pytest.raises(BudgetExceededError, match="^search budget"):
+            geometry._search(base, candidates, 4, z7, 4, 59)
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            search_max_arc(4, z7, budget=60)
 
 
 class TestLifting:

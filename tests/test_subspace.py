@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringspace import (
     HypothesisNotMetError,
@@ -295,3 +296,43 @@ class TestPromotion:
                     else:
                         with pytest.raises(NotASubspaceError):
                             as_subspace(l)
+
+
+@st.composite
+def free_subspaces(draw):
+    """A free m-subspace of R^n: in each component the rows are
+    L * (I | X) with columns permuted, L unit lower triangular, plus p times
+    noise, so every free row module of the shape comes up."""
+    ring = parse_ring(
+        draw(st.sampled_from(["Z4", "Z6", "Z8", "Z9", "Z12", "Z25", "Z2xZ4", "Z3xZ9"]))
+    )
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, n))
+    comps = []
+    for comp in ring.components:
+        p, pe = comp.prime, comp.order
+        entry = st.integers(0, pe - 1)
+        base = [
+            [int(i == j) for j in range(m)] + [draw(entry) for _ in range(n - m)]
+            for i in range(m)
+        ]
+        low = [
+            [1 if i == j else draw(entry) if j < i else 0 for j in range(m)]
+            for i in range(m)
+        ]
+        perm = draw(st.permutations(range(n)))
+        comps.append(
+            tuple(
+                tuple((row[perm[j]] + p * draw(entry)) % pe for j in range(n))
+                for row in zps.matmul(low, base, pe)
+            )
+        )
+    return Subspace.from_matrix(Matrix(ring, m, n, tuple(comps)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(free_subspaces())
+def test_dual_is_an_involution(s):
+    d = dual(s)
+    assert d.dim == s.ambient - s.dim
+    assert dual(d) == s

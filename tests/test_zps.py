@@ -290,3 +290,84 @@ def test_span_points_match_coefficient_scan(case):
             inv = pow(lead, -1, p)
             want.add(tuple(x * inv % p for x in v))
     assert set(points) == want
+
+
+@st.composite
+def full_rank_rows(draw, square=False):
+    """(p, s, n, rows): m <= n rows over Z_{p^s} of full residue rank.
+
+    The rows are L * (I | X) with columns permuted, L unit lower triangular,
+    plus p times noise, so every free row module of the shape comes up."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    s = draw(st.integers(1, 3))
+    pe = p**s
+    n = draw(st.integers(1, 6))
+    m = n if square else draw(st.integers(1, n))
+    entry = st.integers(0, pe - 1)
+    x = [[draw(entry) for _ in range(n - m)] for _ in range(m)]
+    base = [[int(i == j) for j in range(m)] + x[i] for i in range(m)]
+    low = [[1 if i == j else draw(entry) if j < i else 0 for j in range(m)] for i in range(m)]
+    mixed = matmul(low, base, pe)
+    perm = draw(st.permutations(range(n)))
+    noise = [[p * draw(entry) for _ in range(n)] for _ in range(m)]
+    rows = [
+        [(row[perm[j]] + nrow[j]) % pe for j in range(n)]
+        for row, nrow in zip(mixed, noise)
+    ]
+    return p, s, n, rows
+
+
+@settings(deadline=None, max_examples=60)
+@given(stacks_mod_p(), st.data())
+def test_howell_invariant_under_unimodular_row_operations(case, data):
+    """Swapping rows, scaling a row by a unit and adding a multiple of one
+    row to another leave the row module, hence its Howell form, unchanged."""
+    p, n, rows = case
+    s = data.draw(st.integers(1, 3))
+    pe = p**s
+    rows = [[x % pe for x in row] for row in rows]
+    moved = [list(row) for row in rows]
+    for _ in range(data.draw(st.integers(0, 8)) if rows else 0):
+        i = data.draw(st.integers(0, len(moved) - 1))
+        j = data.draw(st.integers(0, len(moved) - 1))
+        c = data.draw(st.integers(1, pe - 1))
+        op = data.draw(st.sampled_from(["swap", "scale", "add"]))
+        if op == "swap":
+            moved[i], moved[j] = moved[j], moved[i]
+        elif op == "scale" and c % p:
+            moved[i] = [x * c % pe for x in moved[i]]
+        elif op == "add" and i != j:
+            moved[i] = [(a + c * b) % pe for a, b in zip(moved[i], moved[j])]
+    assert howell(moved, n, p, s) == howell(rows, n, p, s)
+
+
+@settings(deadline=None, max_examples=60)
+@given(full_rank_rows())
+def test_completion_meets_its_postconditions(case):
+    """rows * S = (I | 0), and S is invertible."""
+    p, s, n, rows = case
+    pe = p**s
+    m = len(rows)
+    s_mat = completion(rows, n, p, pe)
+    assert matmul(rows, s_mat, pe) == tuple(identity(n)[:m])
+    inv = inverse(s_mat, p, pe)
+    assert matmul(s_mat, inv, pe) == identity(n) == matmul(inv, s_mat, pe)
+
+
+@settings(deadline=None, max_examples=60)
+@given(full_rank_rows(square=True), st.data())
+def test_inverse_meets_its_postconditions(case, data):
+    """A matrix is inverted exactly when it has full rank mod p, and then
+    from both sides; a row replaced by p times noise makes it singular."""
+    p, s, n, a = case
+    pe = p**s
+    if data.draw(st.booleans()):
+        a[data.draw(st.integers(0, n - 1))] = [
+            p * data.draw(st.integers(0, pe - 1)) % pe for _ in range(n)
+        ]
+    if rank_mod_p(a, n, p) == n:
+        b = inverse(a, p, pe)
+        assert matmul(a, b, pe) == identity(n) == matmul(b, a, pe)
+    else:
+        with pytest.raises(NotInvertibleError):
+            inverse(a, p, pe)
