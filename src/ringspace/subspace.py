@@ -4,8 +4,9 @@ A subspace is a free direct summand of R^n presented by m unimodular rows;
 its canonical form is the componentwise unit-pivot reduced echelon matrix,
 so equality of subspaces is equality of canonical forms.  A LinearSubset is
 any finitely generated submodule, canonicalized per component by Howell
-normal form.  Meets and joins land in LinearSubset and can be promoted back
-to Subspace exactly when the module is free with a unimodular basis.
+normal form.  A pair's meet and join both come from one Howell form per
+component and land in LinearSubset; each can be promoted back to Subspace
+exactly when the module is free with a unimodular basis.
 """
 
 from __future__ import annotations
@@ -209,39 +210,40 @@ def subspace_span(s: Subspace) -> LinearSubset:
 
 
 def meet(a: Subspace, b: Subspace) -> LinearSubset:
-    """Intersection of two subspaces, as a general submodule.
-
-    Componentwise: solutions (x, y) of x*A + y*B = 0 are the left kernel of
-    the stacked matrix, and the x parts applied to A generate exactly the
-    intersection of the two row spans.
-    """
-    _check_pair(a, b)
-    howells = []
-    for ca, cb, comp in zip(a.canons, b.canons, a.ring.components):
-        p, s, pe = comp.prime, comp.exponent, comp.order
-        stacked = ca + cb
-        kern = zps.left_kernel(stacked, a.ambient, p, s)
-        gens = tuple(
-            tuple(
-                sum(x * ca[i][j] for i, x in enumerate(row[: len(ca)])) % pe
-                for j in range(a.ambient)
-            )
-            for row in kern
-        )
-        howells.append(zps.howell(gens, a.ambient, p, s))
-    return LinearSubset(a.ring, a.ambient, tuple(howells))
+    """Intersection of two subspaces, as a general submodule."""
+    return _join_meet(a, b)[1]
 
 
 def join(a: Subspace, b: Subspace) -> LinearSubset:
     """Sum of two subspaces: the module generated by both row sets."""
-    _check_pair(a, b)
-    gens = a.display.stack(b.display)
-    return LinearSubset.from_generators(gens)
+    return _join_meet(a, b)[0]
 
 
-def _check_pair(a: Subspace, b: Subspace) -> None:
+def _join_meet(a: Subspace, b: Subspace) -> tuple[LinearSubset, LinearSubset]:
+    """The join A + B and the meet A meet B, from one Howell form per component.
+
+    The rows (x, x) for x in A and (y, 0) for y in B generate the module
+    M = {(x + y, x)} of R^{2n}.  Projecting M onto its left half gives
+    A + B, and its elements with left half zero are (0, x) for x in A meet B.
+    By the Howell property, for every column j the rows of M's Howell form
+    with pivot at j or later generate the elements of M that vanish before
+    j.  So the rows whose left half is nonzero, cut to that half, generate
+    A + B and keep the property; the rows whose left half is zero, cut to
+    their right half, generate A meet B and keep it too.  Both sets are
+    echelon, reduced above their pivots and normalised to powers of p, so by
+    uniqueness each is already the Howell form of its module.
+    """
     if a.ring != b.ring or a.ambient != b.ambient:
         raise RingMismatchError("subspaces of different spaces")
+    n = a.ambient
+    zero = (0,) * n
+    joins, meets = [], []
+    for ca, cb, comp in zip(a.canons, b.canons, a.ring.components):
+        stack = [r + r for r in ca] + [r + zero for r in cb]
+        h = zps.howell(stack, 2 * n, comp.prime, comp.exponent)
+        joins.append(tuple(r[:n] for r in h if any(r[:n])))
+        meets.append(tuple(r[n:] for r in h if not any(r[:n])))
+    return LinearSubset(a.ring, n, tuple(joins)), LinearSubset(a.ring, n, tuple(meets))
 
 
 def as_subspace(l: LinearSubset) -> Subspace:
@@ -306,7 +308,7 @@ class DimensionStatus:
 
 
 def dimension_formula_status(a: Subspace, b: Subspace) -> DimensionStatus:
-    return _status(a, b, join(a, b), meet(a, b))
+    return _status(a, b, *_join_meet(a, b))
 
 
 def _status(
@@ -349,14 +351,15 @@ def duality_laws(a: Subspace, b: Subspace) -> DualityStatus:
 def _dimcheck(a: Subspace, b: Subspace) -> tuple[DimensionStatus, DualityStatus | None]:
     """The pair's status, and its duality laws when the formula holds.
 
-    Builds the pair's join and meet once for both answers.
+    Builds the pair's join and meet once for both answers, and the duals'
+    once for the laws.
     """
-    j, m = join(a, b), meet(a, b)
+    j, m = _join_meet(a, b)
     status = _status(a, b, j, m)
     if not status.formula_holds:
         return status, None
-    da, db = dual(a), dual(b)
+    dj, dm = _join_meet(dual(a), dual(b))
     # join and meet are free since the formula holds
-    meet_law = join(da, db) == subspace_span(dual(as_subspace(m)))
-    join_law = meet(da, db) == subspace_span(dual(as_subspace(j)))
+    meet_law = dj == subspace_span(dual(as_subspace(m)))
+    join_law = dm == subspace_span(dual(as_subspace(j)))
     return status, DualityStatus(meet_law, join_law)

@@ -178,10 +178,10 @@ class TestSubspaceCommands:
     def test_dimcheck_builds_join_and_meet_once(self, capsys, monkeypatch, a, b, builds):
         from ringspace import subspace
 
-        joins = self._calls(monkeypatch, subspace, "join")
-        meets = self._calls(monkeypatch, subspace, "meet")
+        # join and meet come from one builder, so each build is one call
+        pairs = self._calls(monkeypatch, subspace, "_join_meet")
         run_json(capsys, ["subspace", "dimcheck", "--ring", "Z4", "--a", a, "--b", b])
-        assert (joins, meets) == ([builds], [builds])
+        assert pairs == [builds]
 
 
 class TestCounts:

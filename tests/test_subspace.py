@@ -1,5 +1,6 @@
 """Subspace canonical forms, meet/join, freeness promotion, duality."""
 
+import functools
 import itertools
 import random
 
@@ -27,7 +28,7 @@ from ringspace import (
     parse_ring,
     subspace_span,
 )
-from ringspace import zps
+from ringspace import subspace, zps
 
 
 def span_vectors(sub):
@@ -109,27 +110,60 @@ class TestCanonicalForm:
             meet(a, b)
 
 
+@functools.cache
+def _row_closure(rows, n, pe):
+    """The additive subgroup of Z_pe^n generated by ``rows``, by breadth-first search."""
+    out = {(0,) * n}
+    frontier = list(out)
+    while frontier:
+        v = frontier.pop()
+        for r in rows:
+            w = tuple((x + y) % pe for x, y in zip(v, r))
+            if w not in out:
+                out.add(w)
+                frontier.append(w)
+    return frozenset(out)
+
+
+def module_vectors(ring, n, comp_rows):
+    """Every vector of the module with the given generators per component.
+
+    A submodule of a product ring's R^n is the product of its component
+    modules, so its vectors are the product of the component closures.
+    """
+    return set(
+        itertools.product(
+            *(_row_closure(rows, n, c.order) for rows, c in zip(comp_rows, ring.components))
+        )
+    )
+
+
 class TestMeetJoin:
-    def test_meet_join_against_vector_sets(self, z4, z6):
-        """Meet and join agree with set intersection / generated span."""
-        for ring in (z4, z6):
-            subs = enumerate_subspaces(1, 2, ring)
-            for a, b in itertools.combinations_with_replacement(subs, 2):
-                mset = span_vectors(a) & span_vectors(b)
-                m = meet(a, b)
-                got = {
-                    v
-                    for v in span_vectors(Subspace.full(ring, 2))
-                    if m.contains_vector(v)
-                }
-                assert got == mset
-                j = join(a, b)
-                want_gens = span_vectors(a) | span_vectors(b)
-                # the join must contain both and be the smallest such module
-                assert all(j.contains_vector(v) for v in want_gens)
-                assert LinearSubset.from_generators(
-                    a.display.stack(b.display)
-                ) == j
+    def test_meet_join_against_vector_sets(self):
+        """Over every ordered pair of subspaces of every dimension, the meet's
+        vectors are the set intersection and the join's are the span of both
+        row sets."""
+        for spec, n in [("Z4", 3), ("Z6", 2), ("Z8", 2), ("Z9", 2), ("Z2xZ9", 2)]:
+            ring = parse_ring(spec)
+            subs = [s for m in range(n + 1) for s in enumerate_subspaces(m, n, ring)]
+            spans = [span_vectors(s) for s in subs]
+            for (a, sa), (b, sb) in itertools.product(zip(subs, spans), repeat=2):
+                m, j = meet(a, b), join(a, b)
+                assert module_vectors(ring, n, m.howells) == sa & sb
+                both = [ca + cb for ca, cb in zip(a.canons, b.canons)]
+                assert module_vectors(ring, n, j.howells) == module_vectors(ring, n, both)
+                assert sa | sb <= module_vectors(ring, n, j.howells)
+                assert LinearSubset.from_generators(a.display.stack(b.display)) == j
+
+    def test_status_reduces_once_per_component(self, monkeypatch, z12):
+        """Join and meet share one Howell form: Z12 has two components."""
+        calls = []
+        howell = zps.howell
+        monkeypatch.setattr(zps, "howell", lambda *args: calls.append(args) or howell(*args))
+        a = Subspace.from_matrix(Matrix.from_entries(z12, [[1, 2, 0], [0, 3, 1]]))
+        b = Subspace.from_matrix(Matrix.from_entries(z12, [[0, 1, 4]]))
+        dimension_formula_status(a, b)
+        assert len(calls) == 2
 
     def test_counterexample_pair(self, z4):
         a = Subspace.from_matrix(Matrix.from_entries(z4, [[2, 1]]))
@@ -298,16 +332,10 @@ class TestPromotion:
                             as_subspace(l)
 
 
-@st.composite
-def free_subspaces(draw):
+def _free_subspace(draw, ring, n, m):
     """A free m-subspace of R^n: in each component the rows are
     L * (I | X) with columns permuted, L unit lower triangular, plus p times
     noise, so every free row module of the shape comes up."""
-    ring = parse_ring(
-        draw(st.sampled_from(["Z4", "Z6", "Z8", "Z9", "Z12", "Z25", "Z2xZ4", "Z3xZ9"]))
-    )
-    n = draw(st.integers(1, 5))
-    m = draw(st.integers(1, n))
     comps = []
     for comp in ring.components:
         p, pe = comp.prime, comp.order
@@ -328,6 +356,51 @@ def free_subspaces(draw):
             )
         )
     return Subspace.from_matrix(Matrix(ring, m, n, tuple(comps)))
+
+
+@st.composite
+def free_subspaces(draw):
+    ring = parse_ring(
+        draw(st.sampled_from(["Z4", "Z6", "Z8", "Z9", "Z12", "Z25", "Z2xZ4", "Z3xZ9"]))
+    )
+    n = draw(st.integers(1, 5))
+    return _free_subspace(draw, ring, n, draw(st.integers(1, n)))
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two subspaces of one R^n, of any dimensions, over deep or many-component rings."""
+    spec, n = draw(st.sampled_from([("Z64", 5), ("Z27", 4), ("Z720720", 3)]))
+    ring = parse_ring(spec)
+    return tuple(_free_subspace(draw, ring, n, draw(st.integers(0, n))) for _ in range(2))
+
+
+def _stack_and_kernel_route(a, b):
+    """Join and meet Howell forms the long way: the Howell form of the
+    stacked rows, and the left kernel of the stack applied to A's rows."""
+    n = a.ambient
+    joins, meets = [], []
+    for ca, cb, comp in zip(a.canons, b.canons, a.ring.components):
+        p, s, pe = comp.prime, comp.exponent, comp.order
+        joins.append(zps.howell(ca + cb, n, p, s))
+        kern = zps.left_kernel(ca + cb, n, p, s)
+        gens = [
+            [sum(x * ca[i][j] for i, x in enumerate(row[: len(ca)])) % pe for j in range(n)]
+            for row in kern
+        ]
+        meets.append(zps.howell(gens, n, p, s))
+    return tuple(joins), tuple(meets)
+
+
+@settings(deadline=None, max_examples=60)
+@given(subspace_pairs())
+def test_join_meet_matches_stack_and_kernel_route(pair):
+    a, b = pair
+    j, m = subspace._join_meet(a, b)
+    assert (j.howells, m.howells) == _stack_and_kernel_route(a, b)
+    for half in (j, m):
+        for h, comp in zip(half.howells, a.ring.components):
+            assert zps.howell(h, a.ambient, comp.prime, comp.exponent) == h
 
 
 @settings(deadline=None, max_examples=60)
