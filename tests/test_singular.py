@@ -1,7 +1,5 @@
 """Singular spaces: tail types, the block group, canonical reduction, census."""
 
-import itertools
-
 import pytest
 
 from ringspace import (
@@ -74,15 +72,7 @@ class TestTyping:
             canonical_mt_transform(tp)
 
 
-def _z4_span(rows, n):
-    """Every Z4-combination of ``rows``, by scanning the coefficients."""
-    return {
-        tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % 4 for j in range(n))
-        for coeffs in itertools.product(range(4), repeat=len(rows))
-    }
-
-
-def test_tail_meet_is_the_set_intersection(z4):
+def test_tail_meet_is_the_set_intersection(z4, module_vectors):
     """Over Z4^(2+2), P meet E as a vector set, with its t and typed read off it.
 
     t is the rank of the residues mod 2 (they form an F_2-subspace of size
@@ -92,10 +82,10 @@ def test_tail_meet_is_the_set_intersection(z4):
     space = SingularSpace(z4, n, k)
     for m in range(3):
         for sub in enumerate_subspaces(m, n + k, z4):
-            want = {v for v in _z4_span(sub.canons[0], n + k) if not any(v[:n])}
+            want = {v for v in module_vectors(z4, n + k, sub.canons) if not any(v[0][:n])}
             tp = type_of(sub, space)
-            assert _z4_span(tp.tail_meet.howells[0], n + k) == want
-            t = len({tuple(x % 2 for x in v) for v in want}).bit_length() - 1
+            assert module_vectors(z4, n + k, tp.tail_meet.howells) == want
+            t = len({tuple(x % 2 for x in v[0]) for v in want}).bit_length() - 1
             assert (tp.t, tp.typed) == (t, len(want) == 4**t)
 
 

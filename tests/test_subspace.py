@@ -1,6 +1,5 @@
 """Subspace canonical forms, meet/join, freeness promotion, duality."""
 
-import functools
 import itertools
 import random
 
@@ -110,50 +109,23 @@ class TestCanonicalForm:
             meet(a, b)
 
 
-@functools.cache
-def _row_closure(rows, n, pe):
-    """The additive subgroup of Z_pe^n generated by ``rows``, by breadth-first search."""
-    out = {(0,) * n}
-    frontier = list(out)
-    while frontier:
-        v = frontier.pop()
-        for r in rows:
-            w = tuple((x + y) % pe for x, y in zip(v, r))
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return frozenset(out)
-
-
-def module_vectors(ring, n, comp_rows):
-    """Every vector of the module with the given generators per component.
-
-    A submodule of a product ring's R^n is the product of its component
-    modules, so its vectors are the product of the component closures.
-    """
-    return set(
-        itertools.product(
-            *(_row_closure(rows, n, c.order) for rows, c in zip(comp_rows, ring.components))
-        )
-    )
-
-
 class TestMeetJoin:
-    def test_meet_join_against_vector_sets(self):
+    def test_meet_join_against_vector_sets(self, module_vectors):
         """Over every ordered pair of subspaces of every dimension, the meet's
         vectors are the set intersection and the join's are the span of both
-        row sets."""
+        row sets; membership agrees with both."""
         for spec, n in [("Z4", 3), ("Z6", 2), ("Z8", 2), ("Z9", 2), ("Z2xZ9", 2)]:
             ring = parse_ring(spec)
+            full = span_vectors(Subspace.full(ring, n))
             subs = [s for m in range(n + 1) for s in enumerate_subspaces(m, n, ring)]
             spans = [span_vectors(s) for s in subs]
             for (a, sa), (b, sb) in itertools.product(zip(subs, spans), repeat=2):
                 m, j = meet(a, b), join(a, b)
                 assert module_vectors(ring, n, m.howells) == sa & sb
+                assert {v for v in full if m.contains_vector(v)} == sa & sb
                 both = [ca + cb for ca, cb in zip(a.canons, b.canons)]
                 assert module_vectors(ring, n, j.howells) == module_vectors(ring, n, both)
-                assert sa | sb <= module_vectors(ring, n, j.howells)
-                assert LinearSubset.from_generators(a.display.stack(b.display)) == j
+                assert all(j.contains_vector(v) for v in sa | sb)
 
     def test_status_reduces_once_per_component(self, monkeypatch, z12):
         """Join and meet share one Howell form: Z12 has two components."""
