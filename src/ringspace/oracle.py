@@ -112,7 +112,11 @@ def enumerate_subspaces(
 def enumerate_mt_subspaces(
     m: int, t: int, n: int, k: int, ring: Ring, budget: int = DEFAULT_BUDGET
 ) -> list[Subspace]:
-    """All (m, t)-subspaces of the singular space R^{n+k}."""
+    """All (m, t)-subspaces of the singular space R^{n+k}, sorted by canonical form.
+
+    Lists every m-subspace with ``enumerate_subspaces``, which charges the
+    budget, and keeps those that ``singular.type_of`` types as (m, t).
+    """
     space = SingularSpace(ring, n, k)
     out = []
     for sub in enumerate_subspaces(m, n + k, ring, budget):
@@ -127,19 +131,27 @@ def count_full_rank_enumerated(
 ) -> int:
     """Count full-McCoy-rank m x n matrices by scanning all of them.
 
-    The budget is charged the |R|^(mn) matrices before the scan starts.
+    The budget is charged the |R|^(mn) matrices before the scan starts.  A
+    matrix has full McCoy rank when each component's matrix has full rank
+    mod p.  Each component keeps a dict of the answers it has found, so the
+    rank of a component matrix is taken once, not once per matrix it is
+    part of.
     """
     if m < 0 or n < 0 or m > n:
         return 0
     if m == 0:
         return 1
     charge(ring.order ** (m * n), budget)
+    seen: list[dict[tuple[int, ...], bool]] = [{} for _ in ring.components]
     total = 0
     for flat in iter_vectors(m * n, ring):
-        if all(
-            zps.rank_mod_p([row[i * n : (i + 1) * n] for i in range(m)], n, c.prime) == m
-            for row, c in zip(flat, ring.components)
-        ):
+        for row, c, full in zip(flat, ring.components, seen):
+            if row not in full:
+                rows = [row[i * n : (i + 1) * n] for i in range(m)]
+                full[row] = zps.rank_mod_p(rows, n, c.prime) == m
+            if not full[row]:
+                break
+        else:
             total += 1
     return total
 
@@ -343,8 +355,8 @@ def counts_suite() -> list[SuiteItem]:
             count_mt_subspaces, _mt_enumerated, (m, t, n, k, ring),
         )
         for name, ring in _rings("Z2", "Z4")
-        for n in range(3)
-        for k in range(1, 3 - n + 1)
+        for n in range(4)
+        for k in range(1, 4 - n + 1)
         for m in range(n + k + 1)
         for t in range(min(m, k) + 1)
     ]

@@ -5,17 +5,19 @@ last k coordinate rows.  The relevant symmetry group is the subgroup of
 GL_{n+k}(R) of block upper triangular matrices (lower left k x n block
 zero), which is exactly the stabilizer of E.  An m-subspace P has type
 (m, t) when P meet E is a free t-subspace; the meet can fail to be free,
-and such subspaces are reported as untyped rather than rejected.
+and such subspaces are reported as untyped rather than rejected.  The meet
+is read off one Howell form of P per component, without building E.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalError, UntypedSubspaceError
+from . import zps
+from .errors import InternalError, RingMismatchError, UntypedSubspaceError
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank
 from .ring import Ring
-from .subspace import LinearSubset, Subspace, as_subspace, meet
+from .subspace import LinearSubset, Subspace, as_subspace
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,8 +78,24 @@ class TypedSubspace:
 
 
 def type_of(p: Subspace, space: SingularSpace) -> TypedSubspace:
-    """Compute the (m, t) type of P; untyped when P meet E is not free."""
-    tail = meet(p, space.special)
+    """Compute the (m, t) type of P; untyped when P meet E is not free.
+
+    P meet E is read off one Howell form of P's canonical rows per
+    component.  The elements of P that lie in E are those that vanish
+    before column n.  By the Howell property, the rows of P's Howell form
+    with pivot at column n or later generate exactly these, which are the
+    rows whose first n entries are zero.  They are echelon, reduced above
+    their pivots and normalised to powers of p, and they keep the property,
+    so by uniqueness they are already the Howell form of P meet E: the same
+    module ``meet(p, space.special)`` returns.
+    """
+    if p.ring != space.ring or p.ambient != space.ambient:
+        raise RingMismatchError("subspaces of different spaces")
+    n, size = space.n, space.ambient
+    tail = LinearSubset(p.ring, size, tuple(
+        tuple(r for r in zps.howell(c, size, comp.prime, comp.exponent) if not any(r[:n]))
+        for c, comp in zip(p.canons, p.ring.components)
+    ))
     return TypedSubspace(p, space, p.dim, tail.dim, tail.is_free, tail)
 
 

@@ -5,8 +5,9 @@ its canonical form is the componentwise unit-pivot reduced echelon matrix,
 so equality of subspaces is equality of canonical forms.  A LinearSubset is
 any finitely generated submodule, canonicalized per component by Howell
 normal form.  A pair's meet and join both come from one Howell form per
-component and land in LinearSubset; each can be promoted back to Subspace
-exactly when the module is free with a unimodular basis.
+component and land in LinearSubset; a join on its own takes the Howell form
+of the two row sets stacked.  Each can be promoted back to Subspace exactly
+when the module is free with a unimodular basis.
 """
 
 from __future__ import annotations
@@ -215,8 +216,17 @@ def meet(a: Subspace, b: Subspace) -> LinearSubset:
 
 
 def join(a: Subspace, b: Subspace) -> LinearSubset:
-    """Sum of two subspaces: the module generated by both row sets."""
-    return _join_meet(a, b)[0]
+    """Sum of two subspaces: the Howell form of both row sets stacked.
+
+    Howell forms are unique, so this is the join ``_join_meet`` returns,
+    from an n-column stack instead of a 2n-column one.
+    """
+    if a.ring != b.ring or a.ambient != b.ambient:
+        raise RingMismatchError("subspaces of different spaces")
+    return LinearSubset(a.ring, a.ambient, tuple(
+        zps.howell(ca + cb, a.ambient, comp.prime, comp.exponent)
+        for ca, cb, comp in zip(a.canons, b.canons, a.ring.components)
+    ))
 
 
 def _join_meet(a: Subspace, b: Subspace) -> tuple[LinearSubset, LinearSubset]:

@@ -261,6 +261,8 @@ class TestBudgetChargedFirst:
     [
         # Z2^{2x2}: 16 matrices
         (lambda budget: count_full_rank_enumerated(2, 2, parse_ring("Z2"), budget), 16),
+        # Z6^{2x2}: 6^4 matrices
+        (lambda budget: count_full_rank_enumerated(2, 2, parse_ring("Z6"), budget), 1296),
         # Z4^2 coefficient vectors, then the family {(1,0), (3,0)} fails
         # and the family {(1,0)} passes
         (
@@ -270,7 +272,7 @@ class TestBudgetChargedFirst:
             18,
         ),
     ],
-    ids=["full rank", "brute-force dim"],
+    ids=["full rank", "full rank Z6", "brute-force dim"],
 )
 def test_scan_budget_raise_points(count, spent):
     count(spent)
@@ -285,6 +287,14 @@ class TestFullRankEnumeration:
             assert count_full_rank_enumerated(m, n, ring) == count_full_rank(
                 m, n, ring
             )
+
+    def test_rank_taken_once_per_component_matrix(self, monkeypatch, z6):
+        """Z6 = Z2 x Z3: at most 2^4 + 3^4 = 97 distinct component matrices."""
+        calls = []
+        rank = zps.rank_mod_p
+        monkeypatch.setattr(zps, "rank_mod_p", lambda *args: calls.append(args) or rank(*args))
+        assert count_full_rank_enumerated(2, 2, z6) == count_full_rank(2, 2, z6)
+        assert 0 < len(calls) <= 97
 
 
 def _enumerated_count(m, n, ring):
@@ -323,9 +333,9 @@ class TestHarness:
         from ringspace.oracle import SUITES
 
         sizes = {name: len(build()) for name, build in SUITES.items()}
-        assert sizes == {"counts": 301, "algebra": 8, "geometry": 7}
+        assert sizes == {"counts": 401, "algebra": 8, "geometry": 7}
         queries = [item.query for build in SUITES.values() for item in build()]
-        assert len(queries) == len(set(queries)) == 316
+        assert len(queries) == len(set(queries)) == 416
 
     def test_named_suites_resolve(self):
         from ringspace.oracle import SUITES

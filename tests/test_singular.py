@@ -1,9 +1,11 @@
 """Singular spaces: tail types, the block group, canonical reduction, census."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringspace import (
     Matrix,
+    RingMismatchError,
     SingularSpace,
     Subspace,
     UntypedSubspaceError,
@@ -13,9 +15,12 @@ from ringspace import (
     enumerate_mt_subspaces,
     enumerate_subspaces,
     is_in_gl_nk,
+    meet,
     parse_ring,
     type_of,
 )
+from ringspace import subspace, zps
+from strategies import free_subspace
 
 
 def canonical_target(space, m, t):
@@ -87,6 +92,62 @@ def test_tail_meet_is_the_set_intersection(z4, module_vectors):
             assert module_vectors(z4, n + k, tp.tail_meet.howells) == want
             t = len({tuple(x % 2 for x in v[0]) for v in want}).bit_length() - 1
             assert (tp.t, tp.typed) == (t, len(want) == 4**t)
+
+
+def assert_types_by_meet_with_special(p, space):
+    """type_of agrees with the route that meets P with E built in full."""
+    tp, tail = type_of(p, space), meet(p, space.special)
+    assert tp.tail_meet.howells == tail.howells
+    assert (tp.m, tp.t, tp.typed) == (p.dim, tail.dim, tail.is_free)
+
+
+@pytest.mark.parametrize(
+    "spec,size", [("Z4", 4), ("Z8", 3), ("Z9", 3), ("Z12", 3), ("Z2xZ9", 2)]
+)
+def test_tail_meet_matches_meet_with_special(spec, size):
+    """Every subspace of R^size, under every split n + k = size."""
+    ring = parse_ring(spec)
+    subs = [s for m in range(size + 1) for s in enumerate_subspaces(m, size, ring)]
+    for n in range(size + 1):
+        space = SingularSpace(ring, n, size - n)
+        for p in subs:
+            assert_types_by_meet_with_special(p, space)
+
+
+@st.composite
+def typed_cases(draw):
+    """A subspace of R^8 over a deep or many-component ring, and a split 8 = n + k."""
+    ring = parse_ring(draw(st.sampled_from(["Z64", "Z720720"])))
+    n = draw(st.integers(0, 8))
+    return free_subspace(draw, ring, 8, draw(st.integers(0, 8))), SingularSpace(ring, n, 8 - n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(typed_cases())
+def test_tail_meet_matches_meet_with_special_wide(case):
+    assert_types_by_meet_with_special(*case)
+
+
+def test_type_of_reduces_p_once_per_component(monkeypatch, z12):
+    """One Howell form of P's m rows per component, and no join/meet stack."""
+    calls = []
+    howell = zps.howell
+    monkeypatch.setattr(zps, "howell", lambda *args: calls.append(args) or howell(*args))
+    monkeypatch.setattr(subspace, "_join_meet", None)
+    p = Subspace.from_matrix(Matrix.from_entries(z12, [[1, 2, 0, 3], [0, 3, 1, 2]]))
+    tp = type_of(p, SingularSpace(z12, 2, 2))
+    assert len(calls) == z12.ell == 2
+    assert all(len(rows) == 2 and ncols == 4 for rows, ncols, *_ in calls)
+    # P meets E trivially mod 4 and in a line mod 3, so P has no type
+    assert tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
+    assert not tp.typed
+
+
+def test_type_of_rejects_another_space(z4, z6):
+    p = Subspace.from_matrix(Matrix.from_entries(z4, [[1, 0, 2]]))
+    for space in (SingularSpace(z4, 1, 1), SingularSpace(z6, 2, 1)):
+        with pytest.raises(RingMismatchError):
+            type_of(p, space)
 
 
 class TestGroupMembership:

@@ -28,6 +28,7 @@ from ringspace import (
     subspace_span,
 )
 from ringspace import subspace, zps
+from strategies import free_subspace
 
 
 def span_vectors(sub):
@@ -113,7 +114,8 @@ class TestMeetJoin:
     def test_meet_join_against_vector_sets(self, module_vectors):
         """Over every ordered pair of subspaces of every dimension, the meet's
         vectors are the set intersection and the join's are the span of both
-        row sets; membership agrees with both."""
+        row sets; membership agrees with both, and the join built alone is
+        the one built with the meet."""
         for spec, n in [("Z4", 3), ("Z6", 2), ("Z8", 2), ("Z9", 2), ("Z2xZ9", 2)]:
             ring = parse_ring(spec)
             full = span_vectors(Subspace.full(ring, n))
@@ -121,6 +123,7 @@ class TestMeetJoin:
             spans = [span_vectors(s) for s in subs]
             for (a, sa), (b, sb) in itertools.product(zip(subs, spans), repeat=2):
                 m, j = meet(a, b), join(a, b)
+                assert j == subspace._join_meet(a, b)[0]
                 assert module_vectors(ring, n, m.howells) == sa & sb
                 assert {v for v in full if m.contains_vector(v)} == sa & sb
                 both = [ca + cb for ca, cb in zip(a.canons, b.canons)]
@@ -304,47 +307,21 @@ class TestPromotion:
                             as_subspace(l)
 
 
-def _free_subspace(draw, ring, n, m):
-    """A free m-subspace of R^n: in each component the rows are
-    L * (I | X) with columns permuted, L unit lower triangular, plus p times
-    noise, so every free row module of the shape comes up."""
-    comps = []
-    for comp in ring.components:
-        p, pe = comp.prime, comp.order
-        entry = st.integers(0, pe - 1)
-        base = [
-            [int(i == j) for j in range(m)] + [draw(entry) for _ in range(n - m)]
-            for i in range(m)
-        ]
-        low = [
-            [1 if i == j else draw(entry) if j < i else 0 for j in range(m)]
-            for i in range(m)
-        ]
-        perm = draw(st.permutations(range(n)))
-        comps.append(
-            tuple(
-                tuple((row[perm[j]] + p * draw(entry)) % pe for j in range(n))
-                for row in zps.matmul(low, base, pe)
-            )
-        )
-    return Subspace.from_matrix(Matrix(ring, m, n, tuple(comps)))
-
-
 @st.composite
 def free_subspaces(draw):
     ring = parse_ring(
         draw(st.sampled_from(["Z4", "Z6", "Z8", "Z9", "Z12", "Z25", "Z2xZ4", "Z3xZ9"]))
     )
     n = draw(st.integers(1, 5))
-    return _free_subspace(draw, ring, n, draw(st.integers(1, n)))
+    return free_subspace(draw, ring, n, draw(st.integers(1, n)))
 
 
 @st.composite
-def subspace_pairs(draw):
+def subspace_pairs(draw, cases=(("Z64", 5), ("Z27", 4), ("Z720720", 3))):
     """Two subspaces of one R^n, of any dimensions, over deep or many-component rings."""
-    spec, n = draw(st.sampled_from([("Z64", 5), ("Z27", 4), ("Z720720", 3)]))
+    spec, n = draw(st.sampled_from(cases))
     ring = parse_ring(spec)
-    return tuple(_free_subspace(draw, ring, n, draw(st.integers(0, n))) for _ in range(2))
+    return tuple(free_subspace(draw, ring, n, draw(st.integers(0, n))) for _ in range(2))
 
 
 def _stack_and_kernel_route(a, b):
@@ -373,6 +350,12 @@ def test_join_meet_matches_stack_and_kernel_route(pair):
     for half in (j, m):
         for h, comp in zip(half.howells, a.ring.components):
             assert zps.howell(h, a.ambient, comp.prime, comp.exponent) == h
+
+
+@settings(deadline=None, max_examples=40)
+@given(subspace_pairs([("Z64", 8), ("Z720720", 8)]))
+def test_join_alone_matches_join_meet(pair):
+    assert join(*pair) == subspace._join_meet(*pair)[0]
 
 
 @settings(deadline=None, max_examples=60)
