@@ -5,19 +5,23 @@ last k coordinate rows.  The relevant symmetry group is the subgroup of
 GL_{n+k}(R) of block upper triangular matrices (lower left k x n block
 zero), which is exactly the stabilizer of E.  An m-subspace P has type
 (m, t) when P meet E is a free t-subspace; the meet can fail to be free,
-and such subspaces are reported as untyped rather than rejected.  The meet
-is read off one Howell form of P per component, without building E.
+and such subspaces are reported as untyped rather than rejected.  As over a
+field, the type is read off P's pivots: P meet E is free exactly when P's
+rows with pivot at column n or later vanish before column n, and t then
+counts those rows.  No Howell form is taken unless the meet itself is asked
+for, or t of a subspace whose meet is not free in some component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import zps
 from .errors import InternalError, RingMismatchError, UntypedSubspaceError
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank
 from .ring import Ring
-from .subspace import LinearSubset, Subspace, as_subspace
+from .subspace import LinearSubset, Subspace
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,16 +65,48 @@ def is_in_gl_nk(t: Matrix, space: SingularSpace) -> bool:
     return mccoy_rank(t) == n + k
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class TypedSubspace:
-    """An m-subspace of a singular space together with its tail type."""
+    """An m-subspace of a singular space together with its tail type.
+
+    Built by ``type_of``, which reads ``typed`` off P's pivots.  ``t`` and
+    ``tail_meet`` are computed on first use and kept.
+    """
 
     subspace: Subspace
     space: SingularSpace
-    m: int
-    t: int
     typed: bool
-    tail_meet: LinearSubset
+    # min over components of the number of tail rows when none of them is
+    # nonzero before column n, else None
+    _tail_rank: int | None
+
+    @property
+    def m(self) -> int:
+        return self.subspace.dim
+
+    @cached_property
+    def t(self) -> int:
+        """The dimension of P meet E: the tail rank, or the meet's ``dim``."""
+        rank = self._tail_rank
+        return self.tail_meet.dim if rank is None else rank
+
+    @cached_property
+    def tail_meet(self) -> LinearSubset:
+        """P meet E, read off one Howell form of P's canonical rows per component.
+
+        The elements of P that lie in E are those that vanish before column
+        n.  By the Howell property, the rows of P's Howell form with pivot at
+        column n or later generate exactly these, which are the rows whose
+        first n entries are zero.  They are echelon, reduced above their
+        pivots and normalised to powers of p, and they keep the property, so
+        by uniqueness they are already the Howell form of P meet E: the same
+        module ``meet(p, space.special)`` returns.
+        """
+        p, n = self.subspace, self.space.n
+        return LinearSubset(p.ring, p.ambient, tuple(
+            tuple(r for r in zps.howell(c, p.ambient, comp.prime, comp.exponent) if not any(r[:n]))
+            for c, comp in zip(p.canons, p.ring.components)
+        ))
 
     @property
     def type(self) -> tuple[int, int]:
@@ -80,23 +116,37 @@ class TypedSubspace:
 def type_of(p: Subspace, space: SingularSpace) -> TypedSubspace:
     """Compute the (m, t) type of P; untyped when P meet E is not free.
 
-    P meet E is read off one Howell form of P's canonical rows per
-    component.  The elements of P that lie in E are those that vanish
-    before column n.  By the Howell property, the rows of P's Howell form
-    with pivot at column n or later generate exactly these, which are the
-    rows whose first n entries are zero.  They are echelon, reduced above
-    their pivots and normalised to powers of p, and they keep the property,
-    so by uniqueness they are already the Howell form of P meet E: the same
-    module ``meet(p, space.special)`` returns.
+    Read off P's canonical rows, with no Howell form.  In one component
+    Z_{p^s}, P's row r_i is 1 at its pivot c_i and 0 at the other pivots,
+    so v = sum a_i r_i has v[c_i] = a_i.  A v in E vanishes before column
+    n, so it uses only the tail rows T = {i : c_i >= n}.  Let B be the
+    first n columns of the tail rows; its entries are multiples of p, since
+    they lie left of a pivot.  Then a -> sum a_i r_i maps ker B =
+    {a : a B = 0} onto P meet E, one to one.
+
+    - If B = 0, P meet E is spanned by the tail rows: free of rank |T|.
+    - If B != 0, take its Smith form B = U D V with U, V invertible and D
+      diagonal.  Each nonzero diagonal entry is a unit times p^e with
+      1 <= e < s, as B has its entries in p Z_{p^s}, and at least one is
+      nonzero.  So ker B, isomorphic to {b : b D = 0}, is the sum of a free
+      part and one summand p^{s-e} Z_{p^s}, isomorphic to Z_{p^e}, per
+      such entry.
+      By uniqueness of that decomposition, P meet E is not free.
+
+    Over a product ring, P meet E is free of dimension t exactly when it is
+    in every component.  So P is typed iff B_i = 0 in every component and
+    every |T_i| is equal.  When every B_i = 0, t is min |T_i|, which is what
+    ``tail_meet.dim`` gives; only otherwise does ``t`` take the Howell form.
     """
     if p.ring != space.ring or p.ambient != space.ambient:
         raise RingMismatchError("subspaces of different spaces")
-    n, size = space.n, space.ambient
-    tail = LinearSubset(p.ring, size, tuple(
-        tuple(r for r in zps.howell(c, size, comp.prime, comp.exponent) if not any(r[:n]))
-        for c, comp in zip(p.canons, p.ring.components)
-    ))
-    return TypedSubspace(p, space, p.dim, tail.dim, tail.is_free, tail)
+    n = space.n
+    # the pivots increase, so the tail rows are the last ones
+    tails = [canon[sum(c < n for c in piv):] for canon, piv in zip(p.canons, p.pivots)]
+    if any(any(r[:n]) for tail in tails for r in tail):
+        return TypedSubspace(p, space, False, None)
+    ranks = [len(tail) for tail in tails]
+    return TypedSubspace(p, space, min(ranks) == max(ranks), min(ranks))
 
 
 def canonical_mt_transform(
@@ -118,13 +168,17 @@ def canonical_mt_transform(
     space = tp.space
     ring, n, k = space.ring, space.n, space.k
     m, t = tp.m, tp.t
-    a = tp.subspace.display  # m x (n+k), canonical rows
-    f = as_subspace(tp.tail_meet).display  # t x (n+k), rows inside E
+    p = tp.subspace
+    a = p.display  # m x (n+k), canonical rows
+    # P is typed, so in every component its last t rows are those with pivot
+    # >= n: they span P meet E and have the shape of its canonical form, so
+    # by uniqueness they are it (t x (n+k), rows inside E)
+    f = Matrix(ring, t, n + k, tuple(c[m - t:] for c in p.canons))
 
     # coefficients of the tail rows in terms of the canonical rows of P:
     # reading off pivot columns inverts the canonical presentation.
     coeff_comps = []
-    for f_rows, piv, comp in zip(f.comps, tp.subspace.pivots, ring.components):
+    for f_rows, piv in zip(f.comps, p.pivots):
         coeff_comps.append(tuple(tuple(row[c] for c in piv) for row in f_rows))
     coeff = Matrix(ring, t, m, tuple(coeff_comps))
     if coeff.mul(a).comps != f.comps:

@@ -9,17 +9,20 @@ from ringspace import (
     SingularSpace,
     Subspace,
     UntypedSubspaceError,
+    as_subspace,
     canonical_mt_transform,
+    completion,
     count_mt_subspaces,
     count_subspaces,
     enumerate_mt_subspaces,
     enumerate_subspaces,
+    extend_to_basis,
     is_in_gl_nk,
     meet,
     parse_ring,
     type_of,
 )
-from ringspace import subspace, zps
+from ringspace import singular, subspace, zps
 from strategies import free_subspace
 
 
@@ -128,19 +131,45 @@ def test_tail_meet_matches_meet_with_special_wide(case):
     assert_types_by_meet_with_special(*case)
 
 
-def test_type_of_reduces_p_once_per_component(monkeypatch, z12):
-    """One Howell form of P's m rows per component, and no join/meet stack."""
+def test_type_of_takes_no_howell_form(monkeypatch, z4, z12):
+    """The type is read off the pivots; the Howell form waits for ``tail_meet``."""
     calls = []
     howell = zps.howell
     monkeypatch.setattr(zps, "howell", lambda *args: calls.append(args) or howell(*args))
-    monkeypatch.setattr(subspace, "_join_meet", None)
+    for ring in (z4, z12):
+        space = SingularSpace(ring, 2, 2)
+        for m in range(5):
+            for p in subspace.subspaces(m, 4, ring):
+                type_of(p, space)
+    assert calls == []
     p = Subspace.from_matrix(Matrix.from_entries(z12, [[1, 2, 0, 3], [0, 3, 1, 2]]))
     tp = type_of(p, SingularSpace(z12, 2, 2))
+    # P meets E trivially mod 4 and in a line mod 3, so P has no type
+    assert not tp.typed and calls == []
+    assert tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
     assert len(calls) == z12.ell == 2
     assert all(len(rows) == 2 and ncols == 4 for rows, ncols, *_ in calls)
-    # P meets E trivially mod 4 and in a line mod 3, so P has no type
-    assert tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
-    assert not tp.typed
+    assert tp.t == 0 and tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
+    assert len(calls) == 2
+    # (2, 1) meets E in 2 * E, so t falls back to the meet, built once
+    tq = type_of(Subspace.from_matrix(Matrix.from_entries(z4, [[2, 1]])), SingularSpace(z4, 1, 1))
+    assert len(calls) == 2
+    assert tq.t == 0 and len(calls) == 3
+    assert tq.tail_meet.howells == (((0, 2),),) and len(calls) == 3
+
+
+def test_tail_ranks_that_differ_leave_p_untyped(z12):
+    """A line of Z12^(2+1) that lies in E mod 4 and misses it mod 3.
+
+    Its tail rows vanish before column n in both components, so each meet is
+    free, but of rank 1 mod 4 and 0 mod 3: no type, and t is the smaller.
+    """
+    space = SingularSpace(z12, 2, 1)
+    p = Subspace.from_matrix(Matrix.from_entries(z12, [[4, 0, 9]]))
+    assert p.canons == (((0, 0, 1),), ((1, 0, 0),))
+    tp = type_of(p, space)
+    assert not tp.typed and tp.type == (1, 0)
+    assert_types_by_meet_with_special(p, space)
 
 
 def test_type_of_rejects_another_space(z4, z6):
@@ -198,6 +227,77 @@ class TestCanonicalTransform:
         trans, _ = canonical_mt_transform(tp)
         moved = Subspace.from_matrix(target.display.mul(trans))
         assert moved == target
+
+
+def old_canonical_mt_transform(tp):
+    """The transform as built when P meet E came from ``as_subspace(tp.tail_meet)``."""
+    space, a = tp.space, tp.subspace.display
+    ring, n, k, m, t = space.ring, space.n, space.k, a.rows, tp.tail_meet.dim
+    f = as_subspace(tp.tail_meet).display
+    coeff = Matrix(ring, t, m, tuple(
+        tuple(tuple(row[c] for c in piv) for row in rows)
+        for rows, piv in zip(f.comps, tp.subspace.pivots)
+    ))
+    assert coeff.mul(a).comps == f.comps
+    g = extend_to_basis(coeff).submatrix(list(range(t, m)) + list(range(t)), range(m))
+    top = g.mul(a).submatrix(range(m - t), range(n + k))
+    t11 = completion(top.submatrix(range(m - t), range(n)))
+    t22 = completion(f.submatrix(range(t), range(n, n + k)))
+    q2 = top.submatrix(range(m - t), range(n, n + k)).mul(t22).submatrix(range(m - t), range(t, k))
+    shear = singular._shear(ring, n, k, m - t, t, q2)
+    return singular._block_diag(ring, t11, t22).mul(shear), canonical_target(space, m, t)
+
+
+def assert_transform_matches_old_route(p, space):
+    tp = type_of(p, space)
+    assert tp.typed
+    assert canonical_mt_transform(tp) == old_canonical_mt_transform(tp)
+
+
+def test_transform_matches_tail_meet_route(z4):
+    """Every typed subspace of Z4^4, under every split 4 = n + k."""
+    subs = [s for m in range(5) for s in enumerate_subspaces(m, 4, z4)]
+    seen = want = 0
+    for n in range(5):
+        space = SingularSpace(z4, n, 4 - n)
+        for p in subs:
+            if type_of(p, space).typed:
+                assert_transform_matches_old_route(p, space)
+                seen += 1
+        want += sum(
+            count_mt_subspaces(m, t, n, 4 - n, z4)
+            for m in range(5) for t in range(min(m, 4 - n) + 1)
+        )
+    assert seen == want == 3577
+
+
+@st.composite
+def typed_subspaces(draw):
+    """A typed (m, t)-subspace of R^(n+k), n + k = 8, over Z64 or Z720720.
+
+    Its rows are (Q | X) over (0 | S), with Q a free (m-t)-subspace of R^n,
+    S a free t-subspace of R^k and X arbitrary: P meet E is spanned by the
+    rows (0 | S), and every typed subspace has this shape.
+    """
+    ring = parse_ring(draw(st.sampled_from(["Z64", "Z720720"])))
+    n = draw(st.integers(0, 8))
+    k = 8 - n
+    t = draw(st.integers(0, k))
+    m = t + draw(st.integers(0, n))
+    q = free_subspace(draw, ring, n, m - t)
+    s = free_subspace(draw, ring, k, t)
+    comps = tuple(
+        tuple(qr + tuple(draw(st.integers(0, comp.order - 1)) for _ in range(k)) for qr in qc)
+        + tuple((0,) * n + sr for sr in sc)
+        for qc, sc, comp in zip(q.canons, s.canons, ring.components)
+    )
+    return Subspace.from_matrix(Matrix(ring, m, n + k, comps)), SingularSpace(ring, n, k)
+
+
+@settings(deadline=None, max_examples=40)
+@given(typed_subspaces())
+def test_transform_matches_tail_meet_route_wide(case):
+    assert_transform_matches_old_route(*case)
 
 
 class TestCensus:
