@@ -8,9 +8,9 @@ than the defining size are accepted when they are in general position.
 Every query reduces each stack of points once per component with
 ``zps.echelon_add_mod_p``.  Let k be n for arcs and 3 for caps.  The
 membership test and the search ask whether S + (x, c) is independent mod p
-for a (k-2)-subset S: reduced against S, a point leaves a class key (the
-remainder, scaled to 1 at its first nonzero entry) or none (it lies in the
-span of S), and S + (x, c) is dependent exactly when x or c has no key or
+for a (k-2)-subset S: reduced against S by ``zps.remainder_mod_p``, a
+point leaves a class key (the remainder, scaled to 1 at its first nonzero
+entry) or none (it lies in the span of S), and S + (x, c) is dependent exactly when x or c has no key or
 both have the same one.  The classes are the flats one dimension above
 span(S): the lines through a point for caps, the hyperplanes through an
 (n-2)-set for arcs.
@@ -18,8 +18,10 @@ span(S): the lines through a point for caps, the hyperplanes through an
 The extension queries cover spans instead of testing points: a point c
 extends a set exactly when, in every component, c mod p lies outside the
 span of every (k-1)-subset of the set (all of it, when it has fewer than k
-points), that is its hyperplanes or its secant lines.  Each stack's span
-points are marked blocked once, and a point is kept when its residue key is
+points), that is its hyperplanes or its secant lines.  The stacks are
+walked in combination order, so each prefix of a stack is reduced once and
+shared by the stacks that start with it, and each span point of a stack is
+built once and marked blocked.  A point is kept when its residue key is
 blocked in no component, so the kept points are a product over components
 and only they are built (the covering view of complete caps in Hirschfeld,
 *Projective Geometries over Finite Fields*, 1998).  The residue of a
@@ -118,7 +120,7 @@ def _keys(stack, later, primes: Sequence[int]) -> list[list] | None:
     """Each later point's class key over the stack, per component.
 
     The stack and the later points are as ``_rows``.  A key is the row that
-    ``zps.echelon_add_mod_p`` appends for the point to the stack's basis,
+    ``zps.remainder_mod_p`` leaves for the point against the stack's basis,
     or None when the point lies in the stack's span, so two points outside
     the span share a key in a component exactly when the stack plus both is
     dependent there.  None when the stack itself is dependent somewhere.
@@ -127,8 +129,8 @@ def _keys(stack, later, primes: Sequence[int]) -> list[list] | None:
     for ci, (basis, p) in enumerate(zip(_reduce(stack, primes), primes)):
         if basis is None:
             return None
-        added = [zps.echelon_add_mod_p(basis, rows[ci], p) for rows in later]
-        out.append([None if a is None else a[-1][1] for a in added])
+        added = [zps.remainder_mod_p(basis, rows[ci], p) for rows in later]
+        out.append([None if a is None else a[1] for a in added])
     return out
 
 
@@ -217,26 +219,44 @@ def project_point_set(ps: PointSet, i: int) -> PointSet:
 def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
     """Points, in canonical order, whose addition keeps the set admissible.
 
-    Covers spans as the module docstring says: the span points mod p of
-    each stack go into its component's blocked set, and the points kept are
-    the product over components of the canonical rows whose residue key is
-    not blocked, so only they are built.  The set's own points are blocked
-    by the stacks that hold them.  A stack that is dependent in some
-    component admits nothing.  The budget is charged |R|^n, as for listing
-    every point, before any work starts.
+    Covers spans as the module docstring says: ``_cover`` gives each
+    component's blocked set, and the points kept are the product over
+    components of the canonical rows whose residue key is not blocked, so
+    only they are built.  The set's own points are blocked by the stacks
+    that hold them.  The set must be admissible.  The budget is charged
+    |R|^n, as for listing every point, before any work starts.
     """
     n = ps.ambient
     ring = ps.ring
     charge(ring.order**n, budget)
-    primes = [c.prime for c in ring.components]
     rows = _rows(ps.points)
-    blocked: list[set[tuple[int, ...]]] = [set() for _ in primes]
-    for stack in itertools.combinations(rows, min(len(rows), k - 1)):
-        for basis, p, keys in zip(_reduce(stack, primes), primes, blocked):
-            if basis is None:
-                return []
-            keys.update(zps.span_points_mod_p(basis, p))
+    size = min(len(rows), k - 1)
+    blocked = [_cover(rows, ci, c.prime, size) for ci, c in enumerate(ring.components)]
     return points(n, ring, blocked)
+
+
+def _cover(rows, ci: int, p: int, size: int) -> set[tuple[int, ...]]:
+    """The span points mod p, in component ci, of every size-subset of rows.
+
+    The subsets are walked in combination order and each prefix is reduced
+    once with ``zps.echelon_add_mod_p``, so N rows and size 2 (a cap's
+    secants) make N-1 + C(N,2) calls.  A dependent subset raises
+    InternalError: every caller passes an admissible set.
+    """
+    keys: set[tuple[int, ...]] = set()
+
+    def walk(basis, start: int, left: int) -> None:
+        if not left:
+            keys.update(zps.span_points_mod_p(basis, p))
+            return
+        for i in range(start, len(rows) - left + 1):
+            grown = zps.echelon_add_mod_p(basis, rows[i][ci], p)
+            if grown is None:
+                raise InternalError("a stack of the set is dependent; this is a bug")
+            walk(grown, i + 1, left - 1)
+
+    walk((), 0, size)
+    return keys
 
 
 # _extend, _is_complete and _search_max take the public is_arc / is_cap as an

@@ -69,15 +69,14 @@ def rank_mod_p(rows, ncols: int, p: int) -> int:
     return rank
 
 
-def echelon_add_mod_p(basis, row, p: int):
-    """A mod-p echelon basis with row added, or None when row is in its span.
+def remainder_mod_p(basis, row, p: int):
+    """Row reduced mod p against a mod-p echelon basis, as (pivot, row), or None.
 
     ``basis`` is a tuple of (pivot column, residue row) pairs, each row 1
-    at its pivot and 0 at the pivots before it; ``()`` is the empty basis.
-    Row is reduced mod p against the pairs in order, which clears every
-    pivot column.  A nonzero remainder, scaled to 1 at its first nonzero
-    column, is appended.  Folding a stack's rows through this reduces the
-    stack once; testing a further row against it is one more call.
+    at its pivot, 0 left of it and 0 at the pivots before it; ``()`` is the
+    empty basis.  Row is reduced mod p against the pairs in order, which
+    clears every pivot column.  A nonzero remainder is scaled to 1 at its
+    first nonzero column, its pivot; None means row is in the span.
     """
     v = [x % p for x in row]
     for col, prow in basis:
@@ -87,33 +86,38 @@ def echelon_add_mod_p(basis, row, p: int):
     for col, x in enumerate(v):
         if x:
             inv = pow(x, -1, p)
-            return basis + ((col, tuple([y * inv % p for y in v])),)
+            return col, tuple([y * inv % p for y in v])
     return None
+
+
+def echelon_add_mod_p(basis, row, p: int):
+    """A mod-p echelon basis with row added, or None when row is in its span.
+
+    The pair ``remainder_mod_p`` gives for row is appended.  Folding a
+    stack's rows through this reduces the stack once; testing a further row
+    against it is one ``remainder_mod_p`` call.
+    """
+    added = remainder_mod_p(basis, row, p)
+    return None if added is None else basis + (added,)
 
 
 def span_points_mod_p(basis, p: int) -> list[tuple[int, ...]]:
     """The points of a mod-p echelon basis's span, each 1 at its first nonzero entry.
 
-    ``basis`` is as for ``echelon_add_mod_p``.  Each of its rows is 1 at its
-    pivot and 0 left of it, so once the rows are ordered by pivot, a
-    combination whose first nonzero coefficient is 1 is already 1 at its
-    first nonzero entry, and distinct such combinations are distinct
-    points.  The points are row i plus any combination of the rows after
-    it: (p^r - 1)/(p - 1) of them for r rows, none scaled after the fact.
+    ``basis`` is as for ``remainder_mod_p``.  Taken by descending pivot,
+    each row adds itself and ``row + c*q`` for every point q built so far
+    and every c in 1..p-1.  Every q is 0 up to and at the row's pivot, so
+    each new point is 1 at its first nonzero entry, the row's pivot, and
+    distinct (c, q) give distinct points.  So each of the (p^r - 1)/(p - 1)
+    points of r rows is built once, none scaled after the fact.
     """
-    rows = [row for _, row in sorted(basis, reverse=True)]
-    if not rows:
-        return []
     points: list[tuple[int, ...]] = []
-    tail = [(0,) * len(rows[0])]  # every combination of the rows taken so far
-    for i, row in enumerate(rows):
-        points += [tuple([(a + b) % p for a, b in zip(row, t)]) for t in tail]
-        if i + 1 < len(rows):
-            tail = [
-                tuple([(c * a + b) % p for a, b in zip(row, t)])
-                for c in range(p)
-                for t in tail
-            ]
+    for _, row in sorted(basis, reverse=True):
+        points += [row] + [
+            tuple([(a + c * b) % p for a, b in zip(row, q)])
+            for c in range(1, p)
+            for q in points
+        ]
     return points
 
 

@@ -8,6 +8,7 @@ import pytest
 from ringspace import (
     BudgetExceededError,
     DomainError,
+    InternalError,
     Matrix,
     NotAnArcError,
     PointSet,
@@ -370,6 +371,41 @@ def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
                     query(ps, size - 1)
     with pytest.raises(BudgetExceededError, match="^enumeration budget"):
         search(n, ring, size - 1)
+
+
+def _counting(monkeypatch, name):
+    """Wrap zps.<name> so each call is recorded; returns the call list."""
+    calls = []
+    kernel = getattr(zps, name)
+    monkeypatch.setattr(zps, name, lambda *args: calls.append(args) or kernel(*args))
+    return calls
+
+
+@pytest.mark.parametrize("size", [3, 6, 10])
+def test_extensions_reduce_each_prefix_once(monkeypatch, z3, size):
+    """On an N-point cap over a prime field the covering makes N-1 + C(N,2)
+    echelon_add_mod_p calls: one per first point of a secant, one per secant."""
+    ps = PointSet.of(z3, 4, search_max_cap(4, z3).points[:size])
+    calls = _counting(monkeypatch, "echelon_add_mod_p")
+    geometry._extensions(ps, 3, 10**6)
+    assert len(calls) == size - 1 + size * (size - 1) // 2
+
+
+def test_complete_covers_spans_on_both_routes(monkeypatch, z3):
+    """is_complete_cap covers every secant once directly and once through
+    the residue-field projection: 2 C(N,2) span_points_mod_p calls."""
+    ps = search_max_cap(4, z3)
+    calls = _counting(monkeypatch, "span_points_mod_p")
+    assert is_complete_cap(ps)
+    assert len(calls) == len(ps) * (len(ps) - 1)
+
+
+def test_extensions_raise_on_dependent_stack(z4):
+    """A stack dependent mod p is a caller's bug: [1,0,0] and [1,2,0] of
+    Z4^3 share their residue mod 2."""
+    ps = PointSet.from_rows(z4, [[1, 0, 0], [1, 2, 0]])
+    with pytest.raises(InternalError, match="dependent"):
+        geometry._extensions(ps, 3, 10**6)
 
 
 class TestSizeTables:
