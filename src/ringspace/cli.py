@@ -15,6 +15,7 @@ import sys
 from . import serialize
 from .errors import (
     DEFAULT_BUDGET,
+    CountTooLargeError,
     DomainError,
     InternalError,
     PayloadError,
@@ -150,19 +151,34 @@ def _cmd_subspace_dimcheck(args):
     return out, 0
 
 
+# Python's default limit on the digits of an int it converts to a string.
+COUNT_MAX_DIGITS = 4300
+
+
 def _count(function: str, params: str, flags: str | None = None):
     """Handler and dimension arguments of a closed-form count command.
 
     ``params`` orders the dimensions as ``counting.<function>`` takes them,
-    before the ring; ``flags`` orders the options, when that differs.
+    before the ring; ``flags`` orders the options, when that differs.  A
+    count of more than COUNT_MAX_DIGITS digits is refused.  The count is at
+    least |R|^E >= 2^(E (b - 1)), with E from ``counting.SIZE_EXPONENTS``
+    and b the bit length of |R|, so a count that this bound already puts
+    past the limit is refused before the formula runs.
     """
     names = params.split()
 
     def handler(args):
         from . import counting
 
-        fn = getattr(counting, function)
-        return {"count": str(fn(*(getattr(args, n) for n in names), _ring(args)))}, 0
+        dims = [getattr(args, n) for n in names]
+        ring = _ring(args)
+        limit = 10**COUNT_MAX_DIGITS
+        low_bits = counting.SIZE_EXPONENTS[function](*dims) * (ring.order.bit_length() - 1)
+        if low_bits < limit.bit_length():
+            count = getattr(counting, function)(*dims, ring)
+            if count < limit:
+                return {"count": str(count)}, 0
+        raise CountTooLargeError(f"count has more than {COUNT_MAX_DIGITS} digits")
 
     return handler, _dims(flags or params)
 

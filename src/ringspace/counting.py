@@ -49,6 +49,9 @@ def count_full_rank_extension(m1: int, m: int, n: int, ring: Ring) -> int:
 
 
 def _local_subspace_count(m: int, n: int, rj: int, mj: int) -> int:
+    # the count is symmetric in m and n - m; the smaller keeps the factors
+    # multiplied out no larger than the square of the count
+    m = min(m, n - m)
     num = 1
     den = 1
     for i in range(m):
@@ -104,6 +107,11 @@ def count_mt_subspaces(m: int, t: int, n: int, k: int, ring: Ring) -> int:
     return count_mt_over(0, 0, m, t, n, k, ring)
 
 
+def _nested(m1: int, t1: int, m: int, t: int, n: int, k: int) -> bool:
+    """The range in which count_mt_in and count_mt_over are not 0."""
+    return 0 <= t1 <= t <= k and 0 <= m1 - t1 <= m - t <= n
+
+
 def count_mt_in(
     m1: int, t1: int, m: int, t: int, n: int, k: int, ring: Ring
 ) -> int:
@@ -112,9 +120,7 @@ def count_mt_in(
     |R|^{(m1-t1)(t-t1)} * N(m1-t1, m-t) * N(t1, t), nonempty iff
     0 <= t1 <= t <= k and 0 <= m1 - t1 <= m - t <= n.
     """
-    if n < 0 or k < 0:
-        return 0
-    if not (0 <= t1 <= t <= k and 0 <= m1 - t1 <= m - t <= n):
+    if not _nested(m1, t1, m, t, n, k):
         return 0
     return (
         ring.order ** ((m1 - t1) * (t - t1))
@@ -131,12 +137,50 @@ def count_mt_over(
     |R|^{(k-t)(m-t-m1+t1)} * N(m-t-m1+t1, n-m1+t1) * N(t-t1, k-t1), with the
     same nonemptiness condition as count_mt_in.
     """
-    if n < 0 or k < 0:
-        return 0
-    if not (0 <= t1 <= t <= k and 0 <= m1 - t1 <= m - t <= n):
+    if not _nested(m1, t1, m, t, n, k):
         return 0
     return (
         ring.order ** ((k - t) * (m - t - m1 + t1))
         * count_subspaces(m - t - m1 + t1, n - m1 + t1, ring)
         * count_subspaces(t - t1, k - t1, ring)
     )
+
+
+def _subspaces_exponent(m: int, n: int) -> int:
+    return m * (n - m) if 0 <= m <= n else 0
+
+
+def _mt_in_exponent(m1: int, t1: int, m: int, t: int, n: int, k: int) -> int:
+    if not _nested(m1, t1, m, t, n, k):
+        return 0
+    a = m1 - t1
+    return a * (t - t1) + _subspaces_exponent(a, m - t) + _subspaces_exponent(t1, t)
+
+
+def _mt_over_exponent(m1: int, t1: int, m: int, t: int, n: int, k: int) -> int:
+    if not _nested(m1, t1, m, t, n, k):
+        return 0
+    a = m - t - m1 + t1
+    return (
+        (k - t) * a
+        + _subspaces_exponent(a, n - m1 + t1)
+        + _subspaces_exponent(t - t1, k - t1)
+    )
+
+
+# For each formula, from non-negative dimensions alone, an E with
+# value >= |R|^E, and 0 where the value is 0.  The m-subspaces of R^n whose
+# pivots are the first m columns already number |R|^(m(n-m)); the nested
+# (m, t) counts multiply such counts by a power of |R|.  Each factor
+# |R_j|^a - |M_j|^a of a full-rank count is at least |R_j|^(a-1), so
+# count_full_rank(m, n) >= |R|^(m(n-1)).
+SIZE_EXPONENTS = {
+    "count_subspaces": _subspaces_exponent,
+    "count_subspaces_in": lambda m1, m, n: _subspaces_exponent(m1, m) if m <= n else 0,
+    "count_subspaces_over": lambda m1, m, n: _subspaces_exponent(m - m1, n - m1),
+    "count_full_rank": lambda m, n: m * (n - 1) if m <= n else 0,
+    "count_gl": lambda n: n * (n - 1),
+    "count_mt_subspaces": lambda m, t, n, k: _mt_over_exponent(0, 0, m, t, n, k),
+    "count_mt_in": _mt_in_exponent,
+    "count_mt_over": _mt_over_exponent,
+}

@@ -66,6 +66,10 @@ class BudgetExceededError(DomainError):
     """Enumeration or search exceeded its node budget."""
 
 
+class CountTooLargeError(DomainError):
+    """A count has more digits than the command line prints."""
+
+
 class InternalError(AssertionError):
     """An invariant the library relies on does not hold; this is a bug."""
 

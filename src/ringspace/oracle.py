@@ -4,7 +4,9 @@ Everything here recounts objects by direct enumeration so the closed
 formulas in ``counting`` can be checked against an independent route.  The
 enumerators never consult the formulas.  Points and subspaces come from
 ``subspace.subspaces``, which builds each one as its own canonical form from
-its pivot shape, so nothing is reduced or deduplicated.  The subspace budget
+its pivot shape, in canonical order, so nothing is reduced, deduplicated or
+sorted afterwards.  The (m, t)-subspaces of a singular space are built from
+the (m, t) pivot shapes alone, so none is typed.  The subspace budget
 still counts the (parent, point) pairs of a scan that grows each subspace
 by every point, so calls raise at the same budgets as that scan did.
 ``mccoy_rank_oracle`` likewise checks ``matrix.mccoy_rank`` against the
@@ -30,7 +32,6 @@ from .counting import (
 from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank, right_inverse
 from .ring import Element, Ring, parse_ring
-from .singular import SingularSpace, type_of
 from .subspace import (
     Subspace,
     dimension_formula_status,
@@ -89,24 +90,13 @@ def enumerate_subspaces(
 ) -> list[Subspace]:
     """All m-subspaces of R^n, sorted by canonical form.
 
-    ``subspace.subspaces`` builds each one from its pivot shape.  The budget
-    is charged first, in the units of the older scan that grew each
-    (m-1)-subspace by every point: |R|^n for listing the points, then level
-    by level the running total of (parent, point) pairs.  So a call raises
-    at the same budgets as before, and a refused call builds nothing.  The
-    level sizes are read off ``subspace.shapes``.
+    ``subspace.subspaces`` builds each one from its pivot shape, already in
+    this order, after ``_charge_levels`` has charged the budget.
     """
     if m < 0 or m > n:
         return []
-    if m == 0:
-        return [Subspace.zero(ring, n)]
-    charge(ring.order**n, budget)
-    n_points = shape_count(1, n, ring)
-    spent = 0
-    for k in range(m):
-        spent += shape_count(k, n, ring) * n_points
-        charge(spent, budget)
-    return sorted(subspaces(m, n, ring), key=lambda s: s.canons)
+    _charge_levels(m, n, ring, budget)
+    return subspaces(m, n, ring)
 
 
 def enumerate_mt_subspaces(
@@ -114,16 +104,37 @@ def enumerate_mt_subspaces(
 ) -> list[Subspace]:
     """All (m, t)-subspaces of the singular space R^{n+k}, sorted by canonical form.
 
-    Lists every m-subspace with ``enumerate_subspaces``, which charges the
-    budget, and keeps those that ``singular.type_of`` types as (m, t).
+    The budget is charged as for every m-subspace of R^{n+k}, whatever t
+    is.  Then ``subspace.subspaces`` builds only the (m, t) pivot shapes:
+    by ``singular.type_of``, P has type (m, t) exactly when, in every
+    component, P has t rows with pivot at column n or later and those rows
+    vanish before column n, so these shapes give each (m, t)-subspace once
+    and no subspace is typed.
     """
-    space = SingularSpace(ring, n, k)
-    out = []
-    for sub in enumerate_subspaces(m, n + k, ring, budget):
-        tp = type_of(sub, space)
-        if tp.typed and tp.t == t:
-            out.append(sub)
-    return out
+    if m < 0 or m > n + k:
+        return []
+    _charge_levels(m, n + k, ring, budget)
+    return subspaces(m, n + k, ring, tail=(n, t))
+
+
+def _charge_levels(m: int, n: int, ring: Ring, budget: int) -> None:
+    """Charge the budget for listing the m-subspaces of R^n, before any is built.
+
+    The units are those of the older scan that grew each (m-1)-subspace by
+    every point: |R|^n for listing the points, then level by level the
+    running total of (parent, point) pairs.  So a call raises at the same
+    budgets as that scan did, and a refused call builds nothing.  The level
+    sizes are read off ``subspace.shapes``.  The zero subspace costs
+    nothing.
+    """
+    if m == 0:
+        return
+    charge(ring.order**n, budget)
+    n_points = shape_count(1, n, ring)
+    spent = 0
+    for k in range(m):
+        spent += shape_count(k, n, ring) * n_points
+        charge(spent, budget)
 
 
 def count_full_rank_enumerated(

@@ -88,7 +88,7 @@ def point_sort_key(p: Subspace):
     return tuple(zip(*[c[0] for c in p.canons]))
 
 
-def shapes(m: int, n: int, comp: LocalRing):
+def shapes(m: int, n: int, comp: LocalRing, tail: tuple[int, int] | None = None):
     """Per pivot set of m columns, the values each canonical row may take.
 
     An m-subspace's canonical form over Z_{p^s} has increasing pivots, and
@@ -96,12 +96,22 @@ def shapes(m: int, n: int, comp: LocalRing):
     left of c and anything right of c.  Yields (pivots, shape), where
     ``shape[i][j]`` lists the values of row i in column j; every choice of
     values gives a different matrix, and each is its own canonical form.
+
+    ``tail=(split, t)`` keeps the pivot sets with exactly t pivots at or
+    after ``split`` and pins those t rows to 0 before ``split``.  A subspace
+    has type (m, t) in the singular space with its tail from column
+    ``split`` exactly when, in every component, t of its rows have their
+    pivot at or after ``split`` and vanish before it (``singular.type_of``),
+    so these shapes give each (m, t)-subspace once.
     """
     p, pe = comp.prime, comp.order
+    split, t = tail or (n, 0)
     for pivs in itertools.combinations(range(n), m):
+        if sum(c >= split for c in pivs) != t:
+            continue
         yield pivs, [
             [
-                (1,) if j == c else (0,) if j in pivs
+                (1,) if j == c else (0,) if j in pivs or j < split <= c
                 else range(0, pe, p) if j < c else range(pe)
                 for j in range(n)
             ]
@@ -121,25 +131,29 @@ def shape_count(m: int, n: int, ring: Ring) -> int:
 
 
 def subspaces(
-    m: int, n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
+    m: int, n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None,
+    tail: tuple[int, int] | None = None,
 ) -> list[Subspace]:
-    """Every m-subspace of R^n, each built once in canonical form, unsorted.
+    """Every m-subspace of R^n, each built once in canonical form, in canonical order.
 
     They are the product over components of the matrices that ``shapes``
-    allows, so no matrix is reduced and none is made twice.  ``blocked``
-    (for m = 1) holds one set of residue keys per component; a row whose
-    residue mod p is in its component's set is left out.
+    allows, so no matrix is reduced and none is made twice.  Each
+    component's list is sorted, so their product comes out sorted by
+    ``canons``.  ``blocked`` (for m = 1) holds one set of residue keys per
+    component; a row whose residue mod p is in its component's set is left
+    out.  ``tail=(split, t)`` keeps the (m, t)-subspaces of the singular
+    space with its tail from column ``split``, as ``shapes`` does.
     """
     per_comp = []
     for i, comp in enumerate(ring.components):
         p = comp.prime
         keys = blocked[i] if blocked else None
-        per_comp.append([
+        per_comp.append(sorted([
             (rows, pivs)
-            for pivs, shape in shapes(m, n, comp)
+            for pivs, shape in shapes(m, n, comp, tail)
             for rows in itertools.product(*[itertools.product(*row) for row in shape])
             if not keys or tuple([x % p for x in rows[0]]) not in keys
-        ])
+        ]))
     # zip(*combo) splits one (canon, pivots) pair per component into the two
     return [
         Subspace(ring, n, m, *zip(*combo)) for combo in itertools.product(*per_comp)
@@ -149,8 +163,13 @@ def subspaces(
 def points(
     n: int, ring: Ring, blocked: list[set[tuple[int, ...]]] | None = None
 ) -> list[Subspace]:
-    """The points (1-subspaces) of R^n less ``blocked``, by ``point_sort_key``."""
-    return sorted(subspaces(1, n, ring, blocked), key=point_sort_key)
+    """The points (1-subspaces) of R^n less ``blocked``, by ``point_sort_key``.
+
+    Over one component that key orders the points as their canonical rows
+    do, so the canonical order ``subspaces`` gives is already the one.
+    """
+    pts = subspaces(1, n, ring, blocked)
+    return pts if ring.ell == 1 else sorted(pts, key=point_sort_key)
 
 
 @dataclass(frozen=True)

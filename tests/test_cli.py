@@ -1,8 +1,14 @@
 """Command line behavior: JSON contract, round trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ringspace
 
 from ringspace import Matrix, Subspace, parse_ring
 from ringspace import cli, oracle, serialize
@@ -225,6 +231,90 @@ class TestCounts:
             ],
         )
         assert doc == {"count": "1"}
+
+
+# Dimensions whose count is far past 4,300 digits, for every count command.
+HUGE_COUNTS = [
+    ["count", "subspaces", "-m", "50000", "-n", "100000"],
+    ["count", "in", "--m1", "50000", "-m", "100000", "-n", "100000"],
+    ["count", "over", "--m1", "1", "-m", "50000", "-n", "100000"],
+    ["count", "fullrank", "-m", "100", "-n", "100000"],
+    ["count", "gl", "-n", "100000"],
+    ["count", "mt", "-m", "50000", "-t", "1", "-n", "100000", "-k", "2"],
+    ["count", "mt-in", *"--m1 500 --t1 200 -m 1000 -t 500 -n 1000 -k 1000".split()],
+    ["count", "mt-over", *"--m1 1 --t1 0 -m 500 -t 200 -n 1000 -k 1000".split()],
+    ["singular", "count", "-n", "100000", "-k", "2", "-m", "50000", "-t", "1"],
+]
+
+
+class TestOversizeCounts:
+    """A count of more than 4,300 digits, Python's default limit for
+    printing an int, is a domain error decided before the formula runs."""
+
+    def test_gl_100_is_refused(self, capsys):
+        code, out, err = run(capsys, ["count", "gl", "-n", "100", "--ring", "Z12"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", HUGE_COUNTS, ids=[" ".join(a[:2]) for a in HUGE_COUNTS])
+    def test_refused_before_the_formula_runs(self, capsys, monkeypatch, argv):
+        from ringspace import counting
+
+        for name in dir(counting):
+            if name.startswith("count_"):
+                monkeypatch.setattr(counting, name, None)
+        code, out, err = run(capsys, [*argv, "--ring", "Z12"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,code,doc",
+        [
+            ("count gl -n 100000 --ring Z12", 1, None),
+            # a count of 1, whose formula used to multiply out huge factors
+            ("count subspaces -m 20000 -n 20000 --ring Z12", 0, {"count": "1"}),
+        ],
+    )
+    def test_returns_at_once(self, argv, code, doc):
+        src = str(Path(ringspace.__file__).parent.parent)
+        r = subprocess.run(
+            [sys.executable, "-m", "ringspace.cli", *argv.split()], capture_output=True,
+            text=True, timeout=10, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert r.returncode == code and "Traceback" not in r.stderr
+        if doc is None:
+            assert r.stdout == ""
+            assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+        else:
+            assert json.loads(r.stdout) == doc and r.stderr == ""
+
+    def test_limit_is_4300_digits(self, capsys):
+        # Z2^14284 has 2^14284 - 1 lines, 4,300 digits; Z2^14285 has 4,301
+        lines = ["count", "subspaces", "-m", "1", "--ring", "Z2", "-n"]
+        doc = run_json(capsys, [*lines, "14284"])
+        assert doc == {"count": str(2**14284 - 1)} and len(doc["count"]) == 4300
+        code, out, err = run(capsys, [*lines, "14285"])
+        assert code == 1 and out == "" and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv,function,dims",
+        [
+            ("count subspaces -m 50 -n 100", "count_subspaces", (50, 100)),
+            ("count gl -n 60", "count_gl", (60,)),
+            # out of a formula's range the count is 0, whatever the dimensions
+            ("count fullrank -m 100001 -n 100000", "count_full_rank", (100001, 100000)),
+            ("count in --m1 1 -m 100001 -n 100000", "count_subspaces_in", (1, 100001, 100000)),
+            (
+                "singular count -n 100000 -k 2 -m 100000 -t 3",
+                "count_mt_subspaces", (100000, 3, 100000, 2),
+            ),
+        ],
+    )
+    def test_what_fits_still_prints(self, capsys, argv, function, dims):
+        from ringspace import counting
+
+        doc = run_json(capsys, [*argv.split(), "--ring", "Z12"])
+        assert doc == {"count": str(getattr(counting, function)(*dims, parse_ring("Z12")))}
 
 
 class TestSingularCommands:

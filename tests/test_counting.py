@@ -1,5 +1,7 @@
 """Closed-form counts: anchors, multiplicativity, double counting, ranges."""
 
+import itertools
+
 import pytest
 
 from ringspace import (
@@ -15,6 +17,7 @@ from ringspace import (
     enumerate_subspaces,
     parse_ring,
 )
+from ringspace import counting
 
 
 class TestAnchors:
@@ -167,12 +170,40 @@ class TestStructure:
         assert count_subspaces(2, 3, z4) == len(enumerate_subspaces(2, 3, z4))
 
 
+def _quotient(m, n, ring):
+    """The docstring's product formula for count_subspaces, taken with m as
+    given; ``count_subspaces`` itself takes the smaller of m and n - m."""
+    out = 1
+    for c in ring.components:
+        q, r = c.order, c.maximal_ideal_order
+        num = den = 1
+        for i in range(m):
+            num *= q ** (n - i) - r ** (n - i)
+            den *= q ** (m - i) - r ** (m - i)
+        out *= num // den
+    return out
+
+
 class TestSymmetry:
     def test_subspace_count_duality(self, z4, z6, z9):
         """Dualizing swaps m and n - m without changing the count."""
         for ring in (z4, z6, z9):
             for n in range(6):
                 for m in range(n + 1):
-                    assert count_subspaces(m, n, ring) == count_subspaces(
-                        n - m, n, ring
-                    )
+                    assert count_subspaces(m, n, ring) == _quotient(m, n, ring)
+                    assert _quotient(m, n, ring) == _quotient(n - m, n, ring)
+
+
+@pytest.mark.parametrize("function", sorted(counting.SIZE_EXPONENTS))
+def test_exponent_bounds_the_count_from_below(function):
+    """The command line refuses a count from this bound before the formula
+    runs, so the bound must hold for every count it prints, 0 included."""
+    formula = getattr(counting, function)
+    exponent = counting.SIZE_EXPONENTS[function]
+    arity = formula.__code__.co_argcount - 1
+    for spec in ("Z2", "Z4", "Z6", "Z12", "Z9xZ5"):
+        ring = parse_ring(spec)
+        for dims in itertools.product(range(5 if arity < 6 else 4), repeat=arity):
+            count = formula(*dims, ring)
+            e = exponent(*dims)
+            assert count >= ring.order**e if count else e == 0, (spec, dims)

@@ -189,6 +189,16 @@ class TestSubspaceEnumeration:
                 if want <= 2000:
                     assert len(subspaces(m, n, ring)) == want
 
+    @pytest.mark.parametrize("name,n", [("Z6", 4), ("Z2xZ9", 3), ("Z30", 2)])
+    def test_built_in_canonical_order(self, name, n):
+        """Each component's list is sorted, so the product over several
+        components comes out sorted by ``canons`` with no sort of its own."""
+        ring = parse_ring(name)
+        for m in range(n + 1):
+            got = enumerate_subspaces(m, n, ring, budget=10**7)
+            assert len(got) == count_subspaces(m, n, ring)
+            assert got == sorted(got, key=lambda s: s.canons)
+
     def test_refused_call_builds_nothing(self, monkeypatch, z2, z6):
         def build(*args, **kwargs):
             raise AssertionError("built before the budget was charged")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringspace import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
     Matrix,
     RingMismatchError,
     SingularSpace,
@@ -346,3 +348,70 @@ class TestCensus:
         assert len(subs) == count_mt_subspaces(1, 0, 2, 1, z2) == 6
         for sub in subs:
             assert type_of(sub, space).type == (1, 0)
+
+
+def old_mt_route(m, t, n, k, ring, budget=DEFAULT_BUDGET):
+    """The (m, t)-subspaces as listed before the (m, t) pivot shapes: every
+    m-subspace of R^{n+k}, in canonical order, kept when ``type_of`` types
+    it as (m, t)."""
+    space = SingularSpace(ring, n, k)
+    return [
+        s for s in enumerate_subspaces(m, n + k, ring, budget)
+        if (tp := type_of(s, space)).typed and tp.t == t
+    ]
+
+
+MT_SPACES = [
+    ("Z4", 2, 2), ("Z2", 2, 2), ("Z6", 2, 1), ("Z8", 1, 2), ("Z12", 1, 2),
+    ("Z2xZ9", 1, 1), ("Z4", 1, 3),
+]
+
+
+class TestMtShapes:
+    """``enumerate_mt_subspaces`` builds the (m, t) pivot shapes only; it
+    must list what the type filter kept, in the same order."""
+
+    @pytest.mark.parametrize("spec,n,k", MT_SPACES)
+    def test_same_lists_as_the_type_filter(self, spec, n, k):
+        ring = parse_ring(spec)
+        space = SingularSpace(ring, n, k)
+        for m in range(-1, n + k + 2):
+            census = {}
+            for s in enumerate_subspaces(m, n + k, ring):
+                tp = type_of(s, space)
+                if tp.typed:
+                    census[tp.t] = census.get(tp.t, 0) + 1
+            # t past m or k, and negative t, are impossible types
+            for t in range(-1, max(m, k) + 2):
+                got = enumerate_mt_subspaces(m, t, n, k, ring)
+                assert got == old_mt_route(m, t, n, k, ring), (m, t)
+                assert len(got) == census.get(t, 0)
+            # each typed subspace is in exactly one list
+            assert sum(
+                len(enumerate_mt_subspaces(m, t, n, k, ring)) for t in range(k + 1)
+            ) == sum(census.values())
+
+    @pytest.mark.parametrize("spec,n,k", MT_SPACES)
+    def test_raise_points(self, spec, n, k):
+        """The budget is charged as for every m-subspace, whatever t is: the
+        older scan's |R|^(n+k) for the points, then its (parent, point)
+        pairs level by level; nothing for m = 0."""
+        ring = parse_ring(spec)
+        points = len(enumerate_subspaces(1, n + k, ring))
+        for m in range(n + k + 1):
+            levels = sum(len(enumerate_subspaces(j, n + k, ring)) for j in range(m))
+            budget = max(ring.order ** (n + k), levels * points) if m else 0
+            everything = enumerate_subspaces(m, n + k, ring)
+            assert enumerate_subspaces(m, n + k, ring, budget) == everything
+            for t in range(-1, k + 2):
+                want = old_mt_route(m, t, n, k, ring, budget)
+                assert enumerate_mt_subspaces(m, t, n, k, ring, budget) == want
+            if not m:
+                continue
+            with pytest.raises(BudgetExceededError):
+                enumerate_subspaces(m, n + k, ring, budget - 1)
+            for t in range(-1, k + 2):
+                with pytest.raises(BudgetExceededError):
+                    old_mt_route(m, t, n, k, ring, budget - 1)
+                with pytest.raises(BudgetExceededError):
+                    enumerate_mt_subspaces(m, t, n, k, ring, budget - 1)

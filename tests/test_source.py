@@ -95,7 +95,10 @@ def test_enumerators_stand_without_the_formulas():
         (node.name, name)
         for node in oracle.body
         if isinstance(node, ast.FunctionDef)
-        and node.name in ("enumerate_subspaces", "enumerate_points")
+        and node.name in (
+            "enumerate_subspaces", "enumerate_mt_subspaces", "enumerate_points",
+            "_charge_levels",
+        )
         for sub in ast.walk(node)
         for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
         if name in formulas

@@ -101,7 +101,7 @@ MATRIX = BASE | {"ringspace.zps", "ringspace.matrix"}
 SUBSPACE = MATRIX | {"ringspace.subspace"}
 SINGULAR = SUBSPACE | {"ringspace.singular"}
 GEOMETRY = SUBSPACE | {"ringspace.geometry"}
-ORACLE = (BASE | LIBRARY) - {"ringspace.geometry"}
+ORACLE = (BASE | LIBRARY) - {"ringspace.geometry", "ringspace.singular"}
 
 R = ["--ring", "Z4"]
 FOOTPRINTS = [
@@ -126,8 +126,8 @@ FOOTPRINTS = [
     (["arc", "extend", "--points", "[[1,0]]", *R], GEOMETRY),
     (["cap", "complete", "--points", "[[1,0,0]]", *R], GEOMETRY),
     # oracle imports every module but geometry, which its geometry suite
-    # imports when it runs
-    (["singular", "enumerate", "-n", "1", "-k", "1", *R], ORACLE),
+    # imports when it runs, and singular, which only the census types with
+    (["singular", "enumerate", "-n", "1", "-k", "1", *R], ORACLE | SINGULAR),
     (["verify", "-h"], ORACLE),
 ]
 
