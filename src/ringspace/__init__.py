@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "errors": """BudgetExceededError DEFAULT_BUDGET DomainError
         HypothesisNotMetError InternalError NonCoprimeComponentsError NotACapError
-        NotAnArcError NotASubspaceError NotAUnitError NotFullRankError
+        NotAnArcError NotASubspaceError NotFullRankError
         NotInvertibleError PayloadError RingMismatchError RingParseError
         ShapeMismatchError UntypedSubspaceError""",
     "ring": "Element LocalRing Ring parse_ring",

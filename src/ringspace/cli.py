@@ -77,10 +77,10 @@ def _cmd_ring_info(args):
             {"prime": c.prime, "exponent": c.exponent, "order": c.order}
             for c in ring.components
         ],
-        "order": str(ring.order),
-        "units": str(ring.unit_count),
+        "order": _decimal(ring.order),
+        "units": _decimal(ring.unit_count),
         "coprime": ring.is_coprime,
-        "gl2": str(counting.count_gl(2, ring)),
+        "gl2": _decimal(counting.count_gl(2, ring)),
     }, 0
 
 
@@ -153,6 +153,14 @@ def _cmd_subspace_dimcheck(args):
 
 # Python's default limit on the digits of an int it converts to a string.
 COUNT_MAX_DIGITS = 4300
+_TOO_LARGE = f"count has more than {COUNT_MAX_DIGITS} digits"
+
+
+def _decimal(count: int) -> str:
+    """The count in decimal, or CountTooLargeError past COUNT_MAX_DIGITS digits."""
+    if count >= 10**COUNT_MAX_DIGITS:
+        raise CountTooLargeError(_TOO_LARGE)
+    return str(count)
 
 
 def _count(function: str, params: str, flags: str | None = None):
@@ -172,13 +180,10 @@ def _count(function: str, params: str, flags: str | None = None):
 
         dims = [getattr(args, n) for n in names]
         ring = _ring(args)
-        limit = 10**COUNT_MAX_DIGITS
         low_bits = counting.SIZE_EXPONENTS[function](*dims) * (ring.order.bit_length() - 1)
-        if low_bits < limit.bit_length():
-            count = getattr(counting, function)(*dims, ring)
-            if count < limit:
-                return {"count": str(count)}, 0
-        raise CountTooLargeError(f"count has more than {COUNT_MAX_DIGITS} digits")
+        if low_bits >= (10**COUNT_MAX_DIGITS).bit_length():
+            raise CountTooLargeError(_TOO_LARGE)
+        return {"count": _decimal(getattr(counting, function)(*dims, ring))}, 0
 
     return handler, _dims(flags or params)
 

@@ -26,10 +26,6 @@ class ShapeMismatchError(DomainError):
     """Matrix or vector dimensions are incompatible."""
 
 
-class NotAUnitError(DomainError):
-    """Inversion was requested for a non-unit element."""
-
-
 class NonCoprimeComponentsError(DomainError):
     """Single-integer encoding needs pairwise coprime component orders."""
 

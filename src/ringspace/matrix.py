@@ -56,11 +56,6 @@ class Matrix:
         return cls(ring, m, n, tuple(tuple(c) for c in comps))
 
     @classmethod
-    def from_comps(cls, ring: Ring, comps: Sequence[Rows], cols: int) -> "Matrix":
-        m = len(comps[0]) if comps else 0
-        return cls(ring, m, cols, tuple(tuple(map(tuple, c)) for c in comps))
-
-    @classmethod
     def identity(cls, ring: Ring, n: int) -> "Matrix":
         eye = zps.identity(n)
         return cls(ring, n, n, tuple(eye for _ in ring.components))
@@ -75,17 +70,11 @@ class Matrix:
     def entry(self, i: int, j: int) -> Element:
         return Element(self.ring, tuple(c[i][j] for c in self.comps))
 
-    def row(self, i: int) -> tuple[Element, ...]:
-        return tuple(self.entry(i, j) for j in range(self.cols))
-
     # -- arithmetic -------------------------------------------------------------
 
-    def _check_ring(self, other: "Matrix") -> None:
+    def mul(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
             raise RingMismatchError("matrices over different rings")
-
-    def mul(self, other: "Matrix") -> "Matrix":
-        self._check_ring(other)
         if self.cols != other.rows:
             raise ShapeMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -100,19 +89,6 @@ class Matrix:
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         return self.mul(other)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.ring, self.cols, self.rows, tuple(zps.transpose(c) for c in self.comps)
-        )
-
-    def stack(self, other: "Matrix") -> "Matrix":
-        """Rows of self followed by rows of other."""
-        self._check_ring(other)
-        if self.cols != other.cols:
-            raise ShapeMismatchError("column counts differ")
-        comps = tuple(a + b for a, b in zip(self.comps, other.comps))
-        return Matrix(self.ring, self.rows + other.rows, self.cols, comps)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         comps = tuple(

@@ -17,7 +17,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     NonCoprimeComponentsError,
-    NotAUnitError,
     RingMismatchError,
     RingParseError,
 )
@@ -115,10 +114,6 @@ class Ring:
         primes = [c.prime for c in self.components]
         return len(primes) == len(set(primes))
 
-    @property
-    def orders(self) -> tuple[int, ...]:
-        return tuple(c.order for c in self.components)
-
     def spec_string(self) -> str:
         return "x".join(f"Z{c.order}" for c in self.components)
 
@@ -147,10 +142,6 @@ class Ring:
     def zero(self) -> "Element":
         return Element(self, (0,) * self.ell)
 
-    @property
-    def one(self) -> "Element":
-        return self.from_int(1)
-
     def elements(self) -> Iterator["Element"]:
         """All |R| elements, in lexicographic residue order."""
         for parts in itertools.product(*(range(c.order) for c in self.components)):
@@ -158,18 +149,8 @@ class Ring:
 
     # -- integer encoding (coprime components only) --------------------------
 
-    def int_decode(self, value: int) -> "Element":
-        """Decode a single integer in [0, |R|) to an element; needs coprime orders."""
-        if not self.is_coprime:
-            raise NonCoprimeComponentsError(
-                "component orders are not pairwise coprime"
-            )
-        if not 0 <= value < self.order:
-            raise RingParseError(f"{value} out of range for {self.spec_string()}")
-        return self.from_int(value)
-
     def int_encode(self, a: "Element") -> int:
-        """Inverse of int_decode: the unique integer in [0, |R|) matching a."""
+        """The unique integer in [0, |R|) that ``from_int`` maps to a."""
         if not self.is_coprime:
             raise NonCoprimeComponentsError(
                 "component orders are not pairwise coprime"
@@ -225,20 +206,6 @@ class Element:
         return all(
             r % c.prime != 0 for r, c in zip(self.residues, self.ring.components)
         )
-
-    def inverse(self) -> "Element":
-        if not self.is_unit():
-            raise NotAUnitError(f"{self.residues} is not a unit")
-        return Element(
-            self.ring,
-            tuple(
-                pow(r, -1, c.order)
-                for r, c in zip(self.residues, self.ring.components)
-            ),
-        )
-
-    def to_int(self) -> int:
-        return self.ring.int_encode(self)
 
 
 def parse_ring(text: str) -> Ring:

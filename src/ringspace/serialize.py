@@ -74,14 +74,6 @@ def subspace_to_json(s: Subspace) -> dict:
     }
 
 
-def parse_subspace(ring: Ring, obj) -> Subspace:
-    from .subspace import Subspace
-
-    if isinstance(obj, dict):
-        obj = obj.get("rows")
-    return Subspace.from_matrix(parse_matrix(ring, obj))
-
-
 def linear_subset_generators(l: LinearSubset) -> Matrix:
     """A canonical generator matrix: Howell rows, zero-padded to equal count.
 
@@ -98,7 +90,7 @@ def linear_subset_generators(l: LinearSubset) -> Matrix:
         tuple(h[i] if i < len(h) else zero for i in range(depth))
         for h in l.howells
     ]
-    return Matrix.from_comps(ring, padded, n)
+    return Matrix(ring, depth, n, tuple(padded))
 
 
 def linear_subset_to_json(l: LinearSubset) -> dict:
@@ -125,16 +117,20 @@ def parse_point_rows(ring: Ring, obj) -> list[list[Element]]:
 
 
 def load_payload(text: str):
-    """Inline JSON, or @path to read the JSON from a file."""
+    """Inline JSON, or @path to read the JSON from a file.
+
+    A file that is not UTF-8, an integer of more than 4,300 digits and
+    arrays nested past the recursion limit are PayloadError too.
+    """
     if text.startswith("@"):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PayloadError(f"cannot read payload file: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise PayloadError(f"payload is not valid JSON: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from . import zps
 from .errors import InternalError, RingMismatchError, UntypedSubspaceError
-from .matrix import Matrix, completion, extend_to_basis, mccoy_rank
+from .matrix import Matrix, completion, mccoy_rank
 from .ring import Ring
 from .subspace import LinearSubset, Subspace
 
@@ -158,42 +158,21 @@ def canonical_mt_transform(
     coordinate rows together with the first t tail rows.  Returns (T, C)
     with T in the block upper triangular group and P * T spanning C.
 
-    Construction: write P with its tail part at the bottom (rows of
-    P meet E), complete the top block over the free coordinates and the
-    bottom block over the tail, then clear the residual upper right block
-    with one more shear inside the group.
+    Construction: P is typed, so in every component its first m - t
+    canonical rows have pivot < n and its last t rows vanish before column
+    n and span P meet E (``type_of``).  Complete the top rows' free block
+    and the tail rows' tail block, then clear the residual upper right
+    block with one more shear inside the group.
     """
     if not tp.typed:
         raise UntypedSubspaceError("subspace has no (m, t) type")
     space = tp.space
     ring, n, k = space.ring, space.n, space.k
     m, t = tp.m, tp.t
-    p = tp.subspace
-    a = p.display  # m x (n+k), canonical rows
-    # P is typed, so in every component its last t rows are those with pivot
-    # >= n: they span P meet E and have the shape of its canonical form, so
-    # by uniqueness they are it (t x (n+k), rows inside E)
-    f = Matrix(ring, t, n + k, tuple(c[m - t:] for c in p.canons))
-
-    # coefficients of the tail rows in terms of the canonical rows of P:
-    # reading off pivot columns inverts the canonical presentation.
-    coeff_comps = []
-    for f_rows, piv in zip(f.comps, p.pivots):
-        coeff_comps.append(tuple(tuple(row[c] for c in piv) for row in f_rows))
-    coeff = Matrix(ring, t, m, tuple(coeff_comps))
-    if coeff.mul(a).comps != f.comps:
-        raise InternalError("tail rows must lie in P")
-
-    # invertible row mix G with the tail coefficients as its last t rows
-    ext = extend_to_basis(coeff)  # coeff rows first
-    perm = list(range(t, m)) + list(range(t))
-    g = ext.submatrix(perm, range(m))
-    b = g.mul(a)  # top m-t rows span a complement, bottom t rows are f
-
-    top = b.submatrix(range(m - t), range(n + k))
-    p11 = top.submatrix(range(m - t), range(n))
-    p12 = top.submatrix(range(m - t), range(n, n + k))
-    p22 = f.submatrix(range(t), range(n, n + k))
+    a = tp.subspace.display  # m x (n+k), canonical rows
+    p11 = a.submatrix(range(m - t), range(n))
+    p12 = a.submatrix(range(m - t), range(n, n + k))
+    p22 = a.submatrix(range(m - t, m), range(n, n + k))
 
     t11 = completion(p11)  # p11 * t11 = (I | 0) over R^n
     t22 = completion(p22)  # p22 * t22 = (I | 0) over R^k

@@ -5,9 +5,9 @@ its canonical form is the componentwise unit-pivot reduced echelon matrix,
 so equality of subspaces is equality of canonical forms.  A LinearSubset is
 any finitely generated submodule, canonicalized per component by Howell
 normal form.  A pair's meet and join both come from one Howell form per
-component and land in LinearSubset; a join on its own takes the Howell form
-of the two row sets stacked.  Each can be promoted back to Subspace exactly
-when the module is free with a unimodular basis.
+component, also when only one of them is asked for, and land in
+LinearSubset.  Each can be promoted back to Subspace exactly when the module
+is free with a unimodular basis.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class Subspace:
     def zero(cls, ring: Ring, n: int) -> "Subspace":
         ell = ring.ell
         return cls(ring, n, 0, ((),) * ell, ((),) * ell)
-
-    @classmethod
-    def full(cls, ring: Ring, n: int) -> "Subspace":
-        return cls.from_matrix(Matrix.identity(ring, n))
 
     @property
     def display(self) -> Matrix:
@@ -235,17 +231,8 @@ def meet(a: Subspace, b: Subspace) -> LinearSubset:
 
 
 def join(a: Subspace, b: Subspace) -> LinearSubset:
-    """Sum of two subspaces: the Howell form of both row sets stacked.
-
-    Howell forms are unique, so this is the join ``_join_meet`` returns,
-    from an n-column stack instead of a 2n-column one.
-    """
-    if a.ring != b.ring or a.ambient != b.ambient:
-        raise RingMismatchError("subspaces of different spaces")
-    return LinearSubset(a.ring, a.ambient, tuple(
-        zps.howell(ca + cb, a.ambient, comp.prime, comp.exponent)
-        for ca, cb, comp in zip(a.canons, b.canons, a.ring.components)
-    ))
+    """Sum of two subspaces, as a general submodule."""
+    return _join_meet(a, b)[0]
 
 
 def _join_meet(a: Subspace, b: Subspace) -> tuple[LinearSubset, LinearSubset]:

@@ -36,10 +36,6 @@ def matmul(a, b, pe: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def transpose(a) -> tuple[tuple[int, ...], ...]:
-    return tuple(zip(*a)) if a else ()
-
-
 def rank_mod_p(rows, ncols: int, p: int) -> int:
     """Rank of the matrix reduced mod p, over the field F_p."""
     work = [[x % p for x in r] for r in rows]

@@ -40,6 +40,29 @@ class TestRingInfo:
         doc = run_json(capsys, ["ring", "info", "--ring", "Z2xZ2"])
         assert doc["coprime"] is False
 
+    def test_count_past_4300_digits_is_refused(self, capsys):
+        # |GL_2| of 120 factors Z4294967291 has about 4,600 digits
+        spec = "x".join(["Z4294967291"] * 120)
+        assert run(capsys, ["ring", "info", "--ring", spec]) == (
+            1, "", "error: count has more than 4300 digits\n"
+        )
+
+    def test_what_fits_still_prints(self, capsys):
+        from ringspace import count_gl
+
+        spec = "x".join(["Z4294967291"] * 60)
+        ring = parse_ring(spec)
+        doc = run_json(capsys, ["ring", "info", "--ring", spec])
+        assert doc["order"] == str(ring.order) and doc["units"] == str(ring.unit_count)
+        assert doc["gl2"] == str(count_gl(2, ring)) and len(doc["gl2"]) > 2000
+
+    def test_decimal_limit_is_4300_digits(self):
+        from ringspace.errors import CountTooLargeError
+
+        assert cli._decimal(10**4300 - 1) == "9" * 4300
+        with pytest.raises(CountTooLargeError, match="^count has more than 4300 digits$"):
+            cli._decimal(10**4300)
+
 
 class TestMatrixCommands:
     def test_rank(self, capsys):
@@ -91,7 +114,7 @@ class TestSubspaceCommands:
             capsys, ["subspace", "canon", "--ring", "Z4", "--matrix", "[[2,1]]"]
         )
         assert doc == {"ambient": 2, "dim": 1, "rows": [[2, 1]]}
-        back = serialize.parse_subspace(ring, doc)
+        back = Subspace.from_matrix(serialize.parse_matrix(ring, doc["rows"]))
         assert back == Subspace.from_matrix(Matrix.from_entries(ring, [[2, 1]]))
 
     def test_meet_counterexample(self, capsys):
@@ -514,7 +537,7 @@ class TestVerifyCommand:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         def fake_verify(suite):
-            return [EnumerationReport("forced", 1, 2, False, 0.0)]
+            return [EnumerationReport("forced", 1, 2, False)]
 
         # the handler looks verify_counts up in oracle when it runs
         monkeypatch.setattr(oracle, "verify_counts", fake_verify)
@@ -556,10 +579,23 @@ class TestContract:
         )
 
     def test_exit_code_usage_bad_payload(self, capsys):
-        code, _, err = run(
-            capsys, ["matrix", "rank", "--ring", "Z4", "--matrix", "[[1,"]
+        assert run(capsys, ["matrix", "rank", "--ring", "Z4", "--matrix", "[[1,"]) == (
+            2, "", "error: payload is not valid JSON: Expecting value: line 1 column 5 (char 4)\n"
         )
-        assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["[[" + "1" * 5000 + "]]", "[" * 100_000, b"\xff"],
+        ids=["5000-digit integer", "deep nesting", "file not utf-8"],
+    )
+    def test_undecodable_payload_is_usage_error(self, capsys, tmp_path, payload):
+        if isinstance(payload, bytes):
+            f = tmp_path / "m.json"
+            f.write_bytes(payload)
+            payload = f"@{f}"
+        code, out, err = run(capsys, ["matrix", "rank", "--ring", "Z4", "--matrix", payload])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_exit_code_domain(self, capsys):
         for spec, rows in [("Z4", "[[2,0],[0,1]]"), ("Z12", "[[1,0],[0,3]]")]:

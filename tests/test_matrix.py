@@ -41,7 +41,7 @@ def random_matrix(rng, ring, m, n):
 class TestConstruction:
     def test_entry_forms(self, z6):
         a = Matrix.from_entries(z6, [[5, z6.from_int(2), (1, 2)]])
-        assert [e.to_int() for e in a.row(0)] == [5, 2, 5]
+        assert [z6.int_encode(a.entry(0, j)) for j in range(3)] == [5, 2, 5]
 
     def test_bool_rejected(self, z4):
         with pytest.raises(RingParseError):
@@ -110,7 +110,8 @@ class TestMcCoyRank:
         rng = random.Random(5)
         for _ in range(40):
             a = random_matrix(rng, z6, 2, 3)
-            assert mccoy_rank(a) == mccoy_rank(a.transpose())
+            transpose = Matrix(z6, 3, 2, tuple(tuple(zip(*c)) for c in a.comps))
+            assert mccoy_rank(a) == mccoy_rank(transpose)
 
 
 class TestConstructiveTransforms:
@@ -174,7 +175,7 @@ class TestConstructiveTransforms:
 
     def test_too_many_rows_rejected(self, z4):
         with pytest.raises(ShapeMismatchError, match="^more rows than columns$"):
-            completion(Matrix.identity(z4, 2).stack(Matrix.identity(z4, 2)))
+            completion(Matrix.from_entries(z4, [[1, 0], [0, 1]] * 2))
 
     def test_gl_inverse(self, z6):
         a = Matrix.from_entries(z6, [[1, 2], [3, 1]])
@@ -193,8 +194,3 @@ class TestConstructiveTransforms:
             with pytest.raises(ShapeMismatchError, match="^inverse needs a square matrix$"):
                 gl_inverse(Matrix.zeros(ring, 1, 2))
 
-    def test_stack_rows(self, z4):
-        a = Matrix.from_entries(z4, [[1, 0]])
-        b = Matrix.from_entries(z4, [[0, 1]])
-        c = a.stack(b)
-        assert c.comps == Matrix.identity(z4, 2).comps

@@ -64,7 +64,7 @@ class TestPackage:
             "exec('from ringspace import *', ns)\n"
             "print(json.dumps(sorted(k for k in ns if k != '__builtins__')))"
         )
-        assert len(out) == 73
+        assert len(out) == 72
         assert out == sorted(ringspace.__all__)
 
     def test_unknown_name_raises_attribute_error(self):

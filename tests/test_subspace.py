@@ -92,7 +92,7 @@ class TestCanonicalForm:
 
     def test_zero_and_full(self, z6):
         z = Subspace.zero(z6, 2)
-        f = Subspace.full(z6, 2)
+        f = Subspace.from_matrix(Matrix.identity(z6, 2))
         assert z.dim == 0 and f.dim == 2
         assert f.contains(z)
 
@@ -118,7 +118,7 @@ class TestMeetJoin:
         the one built with the meet."""
         for spec, n in [("Z4", 3), ("Z6", 2), ("Z8", 2), ("Z9", 2), ("Z2xZ9", 2)]:
             ring = parse_ring(spec)
-            full = span_vectors(Subspace.full(ring, n))
+            full = span_vectors(Subspace.from_matrix(Matrix.identity(ring, n)))
             subs = [s for m in range(n + 1) for s in enumerate_subspaces(m, n, ring)]
             spans = [span_vectors(s) for s in subs]
             for (a, sa), (b, sb) in itertools.product(zip(subs, spans), repeat=2):
@@ -187,7 +187,8 @@ class TestDual:
                         d = dual(s)
                         assert d.dim == n - m
                         # every pair of rows is orthogonal
-                        prod = s.display.mul(d.display.transpose())
+                        d_t = Matrix(ring, n, n - m, tuple(tuple(zip(*c)) for c in d.canons))
+                        prod = s.display.mul(d_t)
                         assert all(
                             all(all(x == 0 for x in row) for row in comp)
                             for comp in prod.comps
@@ -355,7 +356,14 @@ def test_join_meet_matches_stack_and_kernel_route(pair):
 @settings(deadline=None, max_examples=40)
 @given(subspace_pairs([("Z64", 8), ("Z720720", 8)]))
 def test_join_alone_matches_join_meet(pair):
-    assert join(*pair) == subspace._join_meet(*pair)[0]
+    """``join`` is ``_join_meet``'s join: the Howell form of both row sets stacked."""
+    a, b = pair
+    j = join(a, b)
+    assert j == subspace._join_meet(a, b)[0]
+    assert j.howells == tuple(
+        zps.howell(ca + cb, a.ambient, comp.prime, comp.exponent)
+        for ca, cb, comp in zip(a.canons, b.canons, a.ring.components)
+    )
 
 
 @settings(deadline=None, max_examples=60)
