@@ -87,9 +87,6 @@ class Matrix:
         )
         return Matrix(self.ring, self.rows, other.cols, comps)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return self.mul(other)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         comps = tuple(
             tuple(tuple(c[i][j] for j in col_idx) for i in row_idx)

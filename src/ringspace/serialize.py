@@ -130,8 +130,10 @@ def load_payload(text: str):
             raise PayloadError(f"cannot read payload file: {exc}") from exc
     try:
         return json.loads(text)
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise PayloadError(f"payload is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # int() refuses more than 4,300 digits
+        raise PayloadError("payload has an integer of more than 4300 digits") from exc
 
 
 def dumps(obj) -> str:

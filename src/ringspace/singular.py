@@ -19,7 +19,7 @@ from functools import cached_property
 
 from . import zps
 from .errors import InternalError, RingMismatchError, UntypedSubspaceError
-from .matrix import Matrix, completion, mccoy_rank
+from .matrix import Matrix, mccoy_rank
 from .ring import Ring
 from .subspace import LinearSubset, Subspace
 
@@ -158,32 +158,26 @@ def canonical_mt_transform(
     coordinate rows together with the first t tail rows.  Returns (T, C)
     with T in the block upper triangular group and P * T spanning C.
 
-    Construction: P is typed, so in every component its first m - t
-    canonical rows have pivot < n and its last t rows vanish before column
-    n and span P meet E (``type_of``).  Complete the top rows' free block
-    and the tail rows' tail block, then clear the residual upper right
-    block with one more shear inside the group.
+    Construction: in each component, T is the completion of P's canonical
+    rows with targets 0 .. m-t-1 for the top rows and n .. n+t-1 for the
+    tail rows, so P * T is exactly C's rows.  P is typed, so its top rows
+    have full rank on the head (the first n columns) and its tail rows
+    vanish there (``type_of``).  A top row's reduction therefore swaps,
+    scales and clears head columns with a head column, adding head columns
+    into tail columns at most; a tail row's touches tail columns only.  No
+    column operation puts a head entry into a tail row of T, so T stays
+    block upper triangular.
     """
     if not tp.typed:
         raise UntypedSubspaceError("subspace has no (m, t) type")
     space = tp.space
     ring, n, k = space.ring, space.n, space.k
     m, t = tp.m, tp.t
-    a = tp.subspace.display  # m x (n+k), canonical rows
-    p11 = a.submatrix(range(m - t), range(n))
-    p12 = a.submatrix(range(m - t), range(n, n + k))
-    p22 = a.submatrix(range(m - t, m), range(n, n + k))
-
-    t11 = completion(p11)  # p11 * t11 = (I | 0) over R^n
-    t22 = completion(p22)  # p22 * t22 = (I | 0) over R^k
-    t1 = _block_diag(ring, t11, t22)
-
-    # after t1 the top block is (I, 0, q1, q2); q1 dies under a row mix,
-    # q2 dies under the shear t2 below.
-    p12t = p12.mul(t22)
-    q2 = p12t.submatrix(range(m - t), range(t, k))
-    t2 = _shear(ring, n, k, m - t, t, q2)
-    trans = t1.mul(t2)
+    targets = [*range(m - t), *range(n, n + t)]
+    trans = Matrix(ring, n + k, n + k, tuple(
+        zps.completion(c, n + k, comp.prime, comp.order, targets)
+        for c, comp in zip(tp.subspace.canons, ring.components)
+    ))
 
     canon_rows = [
         [1 if j == i else 0 for j in range(n + k)] for i in range(m - t)
@@ -195,33 +189,6 @@ def canonical_mt_transform(
     )
     if not is_in_gl_nk(trans, space):
         raise InternalError("the transform must lie in the block group")
-    if Subspace.from_matrix(a.mul(trans)) != target:
+    if Subspace.from_matrix(tp.subspace.display.mul(trans)) != target:
         raise InternalError("the transform must carry P to the canonical subspace")
     return trans, target
-
-
-def _block_diag(ring: Ring, a: Matrix, b: Matrix) -> Matrix:
-    na, nb = a.rows, b.rows
-    comps = []
-    for ca, cb in zip(a.comps, b.comps):
-        rows = [tuple(row) + (0,) * nb for row in ca]
-        rows += [(0,) * na + tuple(row) for row in cb]
-        comps.append(tuple(rows))
-    return Matrix(ring, na + nb, na + nb, tuple(comps))
-
-
-def _shear(ring: Ring, n: int, k: int, mt: int, t: int, q2: Matrix) -> Matrix:
-    """Identity on R^{n+k} with block -q2 at rows < mt, columns >= n + t."""
-    size = n + k
-    comps = []
-    for cq, comp in zip(q2.comps, ring.components):
-        pe = comp.order
-        rows = []
-        for i in range(size):
-            row = [1 if j == i else 0 for j in range(size)]
-            if i < mt:
-                for j in range(k - t):
-                    row[n + t + j] = (-cq[i][j]) % pe
-            rows.append(tuple(row))
-        comps.append(tuple(rows))
-    return Matrix(ring, size, size, tuple(comps))

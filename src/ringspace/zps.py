@@ -276,18 +276,20 @@ def left_kernel(rows, ncols: int, p: int, s: int) -> tuple[tuple[int, ...], ...]
     return howell(ker, m, p, s)
 
 
-def completion(rows, ncols: int, p: int, pe: int) -> tuple[tuple[int, ...], ...]:
-    """Invertible S with rows * S = (I | 0), for rows of full residue rank.
+def completion(rows, ncols: int, p: int, pe: int, targets=None) -> tuple[tuple[int, ...], ...]:
+    """Invertible S with rows * S = the identity rows at ``targets``.
 
-    Column reduction: for each row pick the leftmost eligible unit entry,
-    swap it into place, scale the column, then clear the rest of the row.
-    The same column operations applied to the identity accumulate S.
+    Row r goes to the identity row with its 1 in column targets[r]; the
+    default ``range(m)`` gives rows * S = (I | 0).  Column reduction: for
+    each row pick the leftmost unit entry from its target on, swap it into
+    place, scale the column, then clear the rest of the row.  The same
+    column operations applied to the identity accumulate S.  Targets must
+    increase, so no swap moves an earlier row's 1; a row with no unit from
+    its target on raises NotFullRankError.
     """
-    m = len(rows)
     a = [list(r) for r in rows]
     s_mat = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    for r in range(m):
-        row = a[r]
+    for row, r in zip(a, range(len(a)) if targets is None else targets):
         piv = None
         for j in range(r, ncols):
             if row[j] % p:
@@ -299,14 +301,14 @@ def completion(rows, ncols: int, p: int, pe: int) -> tuple[tuple[int, ...], ...]
             for mat in (a, s_mat):
                 for rw in mat:
                     rw[r], rw[piv] = rw[piv], rw[r]
-        inv = pow(a[r][r], -1, pe)
+        inv = pow(row[r], -1, pe)
         if inv != 1:
             for mat in (a, s_mat):
                 for rw in mat:
                     rw[r] = rw[r] * inv % pe
         for c in range(ncols):
             if c != r:
-                f = a[r][c]
+                f = row[c]
                 if f:
                     for mat in (a, s_mat):
                         for rw in mat:
@@ -316,14 +318,12 @@ def completion(rows, ncols: int, p: int, pe: int) -> tuple[tuple[int, ...], ...]
 
 
 def inverse(rows, p: int, pe: int) -> tuple[tuple[int, ...], ...]:
-    """Inverse of a square matrix over Z_{p^s}: the unit-pivot RREF of [A | I].
+    """Inverse of a square matrix over Z_{p^s}: its completion, as A * S = I.
 
-    The identity block keeps [A | I] at full residue rank, so ``rref_unit``
-    always succeeds; A is invertible exactly when the pivots fill A's block.
+    A is invertible exactly when it has full residue rank, which is when
+    the completion exists.
     """
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    work, pivots = rref_unit(aug, 2 * n, p, pe)
-    if pivots != tuple(range(n)):
-        raise NotInvertibleError("matrix is not invertible")
-    return tuple(r[n:] for r in work)
+    try:
+        return completion(rows, len(rows), p, pe)
+    except NotFullRankError as exc:
+        raise NotInvertibleError("matrix is not invertible") from exc

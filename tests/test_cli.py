@@ -597,6 +597,15 @@ class TestContract:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_oversize_integer_is_named_as_such(self, capsys):
+        """The payload is valid JSON; what is refused is an integer past 4,300 digits."""
+        argv = ["matrix", "rank", "--ring", "Z4", "--matrix", "[[" + "1" * 5000 + "]]"]
+        assert run(capsys, argv) == (
+            2, "", "error: payload has an integer of more than 4300 digits\n"
+        )
+        argv[-1] = "[[" + "1" * 4300 + "]]"
+        assert run(capsys, argv)[0] == 0
+
     def test_exit_code_domain(self, capsys):
         for spec, rows in [("Z4", "[[2,0],[0,1]]"), ("Z12", "[[1,0],[0,3]]")]:
             code, _, err = run(capsys, ["matrix", "invert", "--ring", spec, "--matrix", rows])

@@ -24,7 +24,7 @@ from ringspace import (
     parse_ring,
     type_of,
 )
-from ringspace import singular, subspace, zps
+from ringspace import subspace, zps
 from strategies import free_subspace
 
 
@@ -231,6 +231,43 @@ class TestCanonicalTransform:
         assert moved == target
 
 
+def block_diag(ring, a, b):
+    """The block diagonal matrix diag(a, b)."""
+    na, nb = a.rows, b.rows
+    comps = tuple(
+        tuple(row + (0,) * nb for row in ca) + tuple((0,) * na + row for row in cb)
+        for ca, cb in zip(a.comps, b.comps)
+    )
+    return Matrix(ring, na + nb, na + nb, comps)
+
+
+def shear(ring, n, k, mt, t, q2):
+    """Identity on R^{n+k} with block -q2 at rows < mt, columns >= n + t."""
+    comps = []
+    for cq, comp in zip(q2.comps, ring.components):
+        rows = [[int(i == j) for j in range(n + k)] for i in range(n + k)]
+        for i in range(mt):
+            for j in range(k - t):
+                rows[i][n + t + j] = -cq[i][j] % comp.order
+        comps.append(tuple(map(tuple, rows)))
+    return Matrix(ring, n + k, n + k, tuple(comps))
+
+
+def block_and_shear(space, top, tail):
+    """T = diag(T11, T22) * shear, from P's top rows and its tail rows.
+
+    T11 completes the top rows' free block and T22 the tail rows' tail
+    block; the shear then clears what T22 left in the top rows past the
+    first t tail columns.
+    """
+    ring, n, k = space.ring, space.n, space.k
+    mt, t = top.rows, tail.rows
+    t11 = completion(top.submatrix(range(mt), range(n)))
+    t22 = completion(tail.submatrix(range(t), range(n, n + k)))
+    q2 = top.submatrix(range(mt), range(n, n + k)).mul(t22).submatrix(range(mt), range(t, k))
+    return block_diag(ring, t11, t22).mul(shear(ring, n, k, mt, t, q2))
+
+
 def old_canonical_mt_transform(tp):
     """The transform as built when P meet E came from ``as_subspace(tp.tail_meet)``."""
     space, a = tp.space, tp.subspace.display
@@ -243,16 +280,13 @@ def old_canonical_mt_transform(tp):
     assert coeff.mul(a).comps == f.comps
     g = extend_to_basis(coeff).submatrix(list(range(t, m)) + list(range(t)), range(m))
     top = g.mul(a).submatrix(range(m - t), range(n + k))
-    t11 = completion(top.submatrix(range(m - t), range(n)))
-    t22 = completion(f.submatrix(range(t), range(n, n + k)))
-    q2 = top.submatrix(range(m - t), range(n, n + k)).mul(t22).submatrix(range(m - t), range(t, k))
-    shear = singular._shear(ring, n, k, m - t, t, q2)
-    return singular._block_diag(ring, t11, t22).mul(shear), canonical_target(space, m, t)
+    return block_and_shear(space, top, f), canonical_target(space, m, t)
 
 
 def assert_transform_matches_old_route(p, space):
-    """The target is the old route's, and so is the transform unless the old
-    row mix reordered P's first m - t rows.
+    """The transform is the block-and-shear one built from P's own rows, byte
+    for byte.  The target is the old route's, and so is the transform
+    unless the old row mix reordered P's first m - t rows.
 
     That mix took P's first m - t rows rotated by t places, which is their
     own order exactly when m == t or (m - t) divides t.  Otherwise the
@@ -263,6 +297,9 @@ def assert_transform_matches_old_route(p, space):
     assert tp.typed
     m, t = tp.type
     trans, target = canonical_mt_transform(tp)
+    a = p.display
+    top, tail = (a.submatrix(rows, range(a.cols)) for rows in (range(m - t), range(m - t, m)))
+    assert trans == block_and_shear(space, top, tail)
     old_trans, old_target = old_canonical_mt_transform(tp)
     assert target == old_target
     if m == t or t % (m - t) == 0:

@@ -185,6 +185,19 @@ def test_completion_rejects_low_rank():
         completion([(2, 2)], 2, 2, 4)
 
 
+def test_completion_to_targets():
+    """Over Z4^(2+2): the tail row's target is column 2, its unit is in column 3."""
+    rows = [(1, 2, 3, 2), (0, 0, 2, 1)]
+    s_mat = completion(rows, 4, 2, 4, [0, 2])
+    assert matmul(rows, s_mat, 4) == ((1, 0, 0, 0), (0, 0, 1, 0))
+    # block upper triangular: the tail rows of S vanish on the head
+    assert all(x == 0 for row in s_mat[2:] for x in row[:2])
+    assert matmul(s_mat, inverse(s_mat, 2, 4), 4) == identity(4)
+    # a unit left of the target does not count
+    with pytest.raises(NotFullRankError):
+        completion([(1, 0, 0, 0)], 4, 2, 4, [1])
+
+
 @pytest.mark.parametrize("p,s", [(2, 2), (3, 1)])
 def test_inverse(p, s):
     pe = p**s
@@ -204,16 +217,22 @@ def test_inverse(p, s):
     assert seen_invertible > 5
 
 
-@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
 def test_inverse_exhaustive_2x2(p, s):
+    """The inverse is the square completion, and the unit-pivot RREF of [A | I]."""
     pe = p**s
     for flat in itertools.product(range(pe), repeat=4):
         a = [flat[:2], flat[2:]]
         if rank_mod_p(a, 2, p) == 2:
-            assert matmul(a, inverse(a, p, pe), pe) == identity(2)
+            b = inverse(a, p, pe)
+            assert matmul(a, b, pe) == identity(2)
+            aug = [row + identity(2)[i] for i, row in enumerate(a)]
+            assert b == completion(a, 2, p, pe) == tuple(r[2:] for r in rref_unit(aug, 4, p, pe)[0])
         else:
             with pytest.raises(NotInvertibleError):
                 inverse(a, p, pe)
+            with pytest.raises(NotFullRankError):
+                completion(a, 2, p, pe)
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 3)])
