@@ -3,13 +3,15 @@
 One JSON document per invocation on stdout (or an aligned text table with
 --output table); diagnostics go to stderr.  Exit codes: 0 success, 1 domain
 error, 2 usage error (including a negative dimension), 3 verification
-mismatch, 4 internal error (a bug).
+mismatch, 4 internal error (a bug), 141 stdout closed before the output was
+written (``| head``), as a shell reports a process that SIGPIPE ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 
 from . import serialize
@@ -483,7 +485,30 @@ def _render_table(payload, indent: int = 0, out=None) -> list[str]:
     return lines
 
 
+EXIT_CLOSED_STDOUT = 128 + 13  # 128 + SIGPIPE
+
+
 def main(argv=None) -> int:
+    """Run one command line; stdout closed early exits ``EXIT_CLOSED_STDOUT``.
+
+    Python ignores SIGPIPE, so a reader that stops early (``| head``) makes
+    the write raise BrokenPipeError.  As Python's ``signal`` docs advise,
+    the process's own stdout is then pointed at devnull, so the flush at
+    exit does not raise again.  A caller's replacement stdout, such as a
+    StringIO, is left as it is.
+    """
+    try:
+        code = _main(argv)
+        if sys.stdout is not None:  # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except BrokenPipeError:
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
+def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv)
     try:

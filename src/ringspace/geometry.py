@@ -464,6 +464,12 @@ def _search(
 def _search_max(
     frame: Sequence[Sequence[int]], ring: Ring, kind: _Kind, is_kind, budget: int
 ) -> PointSet:
+    """A largest admissible set of R^n that holds the pinned frame.
+
+    The caller charges the |R|^n that ``_extensions`` charges before it
+    builds the frame, so a budget that refuses the search refuses before
+    the frame is built and checked, which costs about n^2.
+    """
     base_set = PointSet.from_rows(ring, frame)
     if not is_kind(base_set):
         raise InternalError("the pinned frame is not admissible; this is a bug")
@@ -484,6 +490,7 @@ def search_max_arc(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     maximum, not a heuristic.
     """
     _ARC.check_ambient(n)
+    charge(ring.order**n, budget)
     return _search_max(zps.identity(n) + ((1,) * n,), ring, _ARC, is_arc, budget)
 
 
@@ -495,4 +502,5 @@ def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     pinning them preserves the maximum size.
     """
     _CAP.check_ambient(n)
+    charge(ring.order**n, budget)
     return _search_max(zps.identity(n)[:3], ring, _CAP, is_cap, budget)

@@ -143,27 +143,24 @@ def count_full_rank_enumerated(
 
     The budget is charged the |R|^(mn) matrices before the scan starts.  A
     matrix has full McCoy rank when each component's matrix has full rank
-    mod p.  Each component keeps a dict of the answers it has found, so the
-    rank of a component matrix is taken once, not once per matrix it is
-    part of.
+    mod p.  So each component lists a full-rank flag for each of its own
+    |R_i|^(mn) matrices, taking each rank once, and the scan walks the
+    product of those flag lists: one tuple of flags per matrix over R, which
+    counts when all of them hold.
     """
     if m < 0 or n < 0 or m > n:
         return 0
     if m == 0:
         return 1
     charge(ring.order ** (m * n), budget)
-    seen: list[dict[tuple[int, ...], bool]] = [{} for _ in ring.components]
-    total = 0
-    for flat in iter_vectors(m * n, ring):
-        for row, c, full in zip(flat, ring.components, seen):
-            if row not in full:
-                rows = [row[i * n : (i + 1) * n] for i in range(m)]
-                full[row] = zps.rank_mod_p(rows, n, c.prime) == m
-            if not full[row]:
-                break
-        else:
-            total += 1
-    return total
+    flags = [
+        [
+            zps.rank_mod_p([flat[i * n : (i + 1) * n] for i in range(m)], n, c.prime) == m
+            for flat in itertools.product(range(c.order), repeat=m * n)
+        ]
+        for c in ring.components
+    ]
+    return sum(map(all, itertools.product(*flags)))
 
 
 def brute_force_dim(gens: Matrix, budget: int = DEFAULT_BUDGET) -> int:

@@ -31,15 +31,32 @@ from .ring import LocalRing, Ring
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Subspace:
-    """A free m-dimensional direct summand of R^n in canonical form."""
+    """A free m-dimensional direct summand of R^n in canonical form.
+
+    The enumerators build subspaces by the million, so ``__init__`` is
+    written out: the generated one of a frozen dataclass sets each field
+    with ``object.__setattr__``, which costs about twice as much as calling
+    the slot's own member descriptor.  Assignment still raises
+    FrozenInstanceError, and eq, hash and repr are the generated ones.
+    """
 
     ring: Ring
     ambient: int
     dim: int
     canons: tuple[Rows, ...]
     pivots: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, ring: Ring, ambient: int, dim: int, canons: tuple[Rows, ...],
+        pivots: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _set_ring(self, ring)
+        _set_ambient(self, ambient)
+        _set_dim(self, dim)
+        _set_canons(self, canons)
+        _set_pivots(self, pivots)
 
     @classmethod
     def from_matrix(cls, a: Matrix) -> "Subspace":
@@ -77,6 +94,13 @@ class Subspace:
         if self.ring != other.ring or self.ambient != other.ambient:
             raise RingMismatchError("subspaces of different spaces")
         return all(self.contains_vector(vec) for vec in zip(*other.canons))
+
+
+# from the class the decorator returns: slots=True replaces the one defined
+_set_ring, _set_ambient, _set_dim, _set_canons, _set_pivots = (
+    Subspace.ring.__set__, Subspace.ambient.__set__, Subspace.dim.__set__,
+    Subspace.canons.__set__, Subspace.pivots.__set__,
+)
 
 
 def point_sort_key(p: Subspace):
@@ -134,25 +158,33 @@ def subspaces(
 
     They are the product over components of the matrices that ``shapes``
     allows, so no matrix is reduced and none is made twice.  Each
-    component's list is sorted, so their product comes out sorted by
-    ``canons``.  ``blocked`` (for m = 1) holds one set of residue keys per
-    component; a row whose residue mod p is in its component's set is left
-    out.  ``tail=(split, t)`` keeps the (m, t)-subspaces of the singular
-    space with its tail from column ``split``, as ``shapes`` does.
+    component's (rows, pivots) pairs are sorted, then split into a list of
+    rows and a parallel list of pivots.  The product of the rows lists and
+    the product of the pivots lists advance in step, so each yields one
+    subspace's ``canons`` and ``pivots`` tuples as they are, and the
+    subspaces come out sorted by ``canons``.  ``blocked`` (for m = 1) holds
+    one set of residue keys per component; a row whose residue mod p is in
+    its component's set is left out.  ``tail=(split, t)`` keeps the
+    (m, t)-subspaces of the singular space with its tail from column
+    ``split``, as ``shapes`` does.
     """
-    per_comp = []
+    canon_lists, pivot_lists = [], []
     for i, comp in enumerate(ring.components):
         p = comp.prime
         keys = blocked[i] if blocked else None
-        per_comp.append(sorted([
+        pairs = sorted([
             (rows, pivs)
             for pivs, shape in shapes(m, n, comp, tail)
             for rows in itertools.product(*[itertools.product(*row) for row in shape])
             if not keys or tuple([x % p for x in rows[0]]) not in keys
-        ]))
-    # zip(*combo) splits one (canon, pivots) pair per component into the two
+        ])
+        canon_lists.append([rows for rows, _ in pairs])
+        pivot_lists.append([pivs for _, pivs in pairs])
     return [
-        Subspace(ring, n, m, *zip(*combo)) for combo in itertools.product(*per_comp)
+        Subspace(ring, n, m, canons, pivots)
+        for canons, pivots in zip(
+            itertools.product(*canon_lists), itertools.product(*pivot_lists)
+        )
     ]
 
 

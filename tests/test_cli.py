@@ -1,5 +1,6 @@
 """Command line behavior: JSON contract, round trips, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -545,6 +546,54 @@ class TestVerifyCommand:
         assert code == 3
         doc = json.loads(out)
         assert doc["mismatches"] == 1
+
+
+# 162 KB of JSON, more than a 64 KiB pipe buffer holds
+LONG_OUTPUT = ["singular", "enumerate", "-m", "2", "-t", "1", "-n", "3", "-k", "2", "--ring", "Z4"]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -c 10``) ends the command
+    with exit 141, as SIGPIPE would, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [["-m", "ringspace.cli"], ["-c", "import sys; from ringspace.cli import main; sys.exit(main())"]],
+        ids=["module", "console script"],
+    )
+    def test_exit_141_without_traceback(self, entry):
+        src = str(Path(ringspace.__file__).parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, *entry, *LONG_OUTPUT], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+        assert head == b'{\n  "count' and err == b""
+
+    def test_stdout_closed_at_start(self):
+        """Python sets sys.stdout to None; the output is dropped and the exit is 0."""
+        src = str(Path(ringspace.__file__).parent.parent)
+        r = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m ringspace.cli ring info --ring Z4 >&-', sys.executable],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert (r.returncode, r.stderr) == (0, "")
+
+    def test_a_callers_stream_is_left_alone(self, monkeypatch):
+        """A caller's in-memory stdout has no descriptor to repoint."""
+
+        class Closed(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        dups = []
+        monkeypatch.setattr(os, "dup2", lambda *args: dups.append(args))
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert cli.main(LONG_OUTPUT) == 141 and dups == []
 
 
 class TestContract:

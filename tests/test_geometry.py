@@ -566,6 +566,24 @@ class TestSearch:
         with pytest.raises(BudgetExceededError, match="^enumeration budget"):
             search_max_arc(4, z7, budget=60)
 
+    @pytest.mark.parametrize("kind", ["arc", "cap"])
+    def test_budget_refused_before_the_frame(self, monkeypatch, z2, kind):
+        """Building and checking the pinned frame costs about n^2 and is
+        charged nothing, so a search refuses on its |R|^n charge first."""
+
+        def frame(*args):
+            raise AssertionError("the frame was built or checked")
+
+        search = getattr(geometry, f"search_max_{kind}")
+        for name in ("is_arc", "is_cap"):
+            monkeypatch.setattr(geometry, name, frame)
+        monkeypatch.setattr(zps, "identity", frame)
+        for budget in (0, 2**10 - 1):
+            with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+                search(10, z2, budget)
+        with pytest.raises(AssertionError, match="frame was built"):
+            search(10, z2, 2**10)
+
 
 class TestLifting:
     def test_crt_combined_component_arcs_form_an_arc(self, z6):

@@ -306,6 +306,28 @@ class TestFullRankEnumeration:
         assert count_full_rank_enumerated(2, 2, z6) == count_full_rank(2, 2, z6)
         assert 0 < len(calls) <= 97
 
+    def test_refused_before_any_rank(self, monkeypatch, z6):
+        def rank(*args):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr(zps, "rank_mod_p", rank)
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            count_full_rank_enumerated(3, 3, z6)
+        with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+            count_full_rank_enumerated(2, 2, z6, 6**4 - 1)
+
+    @pytest.mark.parametrize("spec", ["Z2", "Z4", "Z6", "Z2xZ2", "Z10", "Z12"])
+    def test_matches_formula_up_to_1e5_matrices(self, spec):
+        ring = parse_ring(spec)
+        n = 0
+        while ring.order**n <= 10**5:
+            for m in range(n + 1):
+                if ring.order ** (m * n) <= 10**5:
+                    assert count_full_rank_enumerated(m, n, ring) == count_full_rank(
+                        m, n, ring
+                    ), (m, n)
+            n += 1
+
 
 def _enumerated_count(m, n, ring):
     return len(enumerate_subspaces(m, n, ring))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import FrozenInstanceError, dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from ringspace import (
     subspace_span,
 )
 from ringspace import subspace, zps
+from ringspace.ring import Ring
 from strategies import free_subspace
 
 
@@ -372,3 +374,89 @@ def test_dual_is_an_involution(s):
     d = dual(s)
     assert d.dim == s.ambient - s.dim
     assert dual(d) == s
+
+
+@dataclass(frozen=True, slots=True)
+class _PlainSubspace:
+    """The generated frozen dataclass that Subspace was before its own __init__."""
+
+    ring: Ring
+    ambient: int
+    dim: int
+    canons: tuple
+    pivots: tuple
+
+
+def _plain(s):
+    return _PlainSubspace(s.ring, s.ambient, s.dim, s.canons, s.pivots)
+
+
+def _zip_combo_subspaces(m, n, ring, blocked=None, tail=None):
+    """``subspaces`` as it was: one product of (rows, pivots) pairs, split by zip."""
+    per_comp = []
+    for i, comp in enumerate(ring.components):
+        p = comp.prime
+        keys = blocked[i] if blocked else None
+        per_comp.append(sorted([
+            (rows, pivs)
+            for pivs, shape in subspace.shapes(m, n, comp, tail)
+            for rows in itertools.product(*[itertools.product(*row) for row in shape])
+            if not keys or tuple([x % p for x in rows[0]]) not in keys
+        ]))
+    return [
+        Subspace(ring, n, m, *zip(*combo)) for combo in itertools.product(*per_comp)
+    ]
+
+
+class TestLeanConstructor:
+    FIELDS = ("ring", "ambient", "dim", "canons", "pivots")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_each_field_is_frozen(self, z12, field):
+        s = enumerate_subspaces(1, 2, z12)[3]
+        before = getattr(s, field)
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, field, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(s, field)
+        assert getattr(s, field) == before
+
+    def test_keyword_construction_and_replace(self, z12):
+        s = enumerate_subspaces(1, 2, z12)[3]
+        kw = Subspace(
+            ring=s.ring, ambient=s.ambient, dim=s.dim, canons=s.canons, pivots=s.pivots
+        )
+        assert kw == s and Subspace(s.ring, 2, 1, pivots=s.pivots, canons=s.canons) == s
+        t = enumerate_subspaces(1, 2, z12)[4]
+        moved = replace(s, canons=t.canons, pivots=t.pivots)
+        assert moved == t and moved is not t and s == enumerate_subspaces(1, 2, z12)[3]
+        assert Subspace.__match_args__ == self.FIELDS
+
+    def test_eq_hash_repr_as_the_generated_dataclass(self, z4, z6):
+        for ring in (z4, z6, parse_ring("Z2xZ4")):
+            subs = enumerate_subspaces(1, 2, ring) + enumerate_subspaces(2, 3, ring)[:20]
+            for s in subs:
+                assert hash(s) == hash(_plain(s))
+                assert repr(s) == repr(_plain(s)).replace("_PlainSubspace", "Subspace", 1)
+            for a, b in itertools.product(subs[:12], subs):
+                assert (a == b) == (_plain(a) == _plain(b))
+            assert (subs[0] == _plain(subs[0])) is False
+
+    @pytest.mark.parametrize("spec", ["Z2", "Z4", "Z6", "Z12", "Z2xZ4"])
+    def test_subspaces_match_the_zip_builder(self, spec):
+        """The same subspaces in the same order: all of them, by type, and blocked."""
+        ring = parse_ring(spec)
+        for n in range(4):
+            for m in range(n + 1):
+                for tail in [None, *itertools.product(range(n + 1), range(m + 1))]:
+                    assert subspace.subspaces(m, n, ring, tail=tail) == (
+                        _zip_combo_subspaces(m, n, ring, tail=tail)
+                    )
+        pts = subspace.subspaces(1, 3, ring)
+        blocked = [
+            {tuple(x % c.prime for x in p.canons[ci][0]) for p in pts[ci : ci + 2]}
+            for ci, c in enumerate(ring.components)
+        ]
+        got = subspace.subspaces(1, 3, ring, blocked)
+        assert got == _zip_combo_subspaces(1, 3, ring, blocked)
+        assert 0 < len(got) < len(pts)
