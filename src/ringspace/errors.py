@@ -80,3 +80,16 @@ def charge(units: int, budget: int) -> None:
     """
     if units > budget:
         raise BudgetExceededError("enumeration budget exhausted")
+
+
+def charge_power(base: int, exponent: int, budget: int) -> None:
+    """``charge`` for ``base ** exponent`` units, refused before the power is taken.
+
+    The base is a ring's order, at least 2, so the power is at least
+    2^exponent, which exceeds every budget below 2^budget.bit_length(): an
+    exponent that reaches that bit length is refused at once, however large
+    the power would be.
+    """
+    if exponent >= budget.bit_length():
+        raise BudgetExceededError("enumeration budget exhausted")
+    charge(base**exponent, budget)

@@ -10,32 +10,41 @@ Every query reduces each stack of points once per component with
 membership test and the search ask whether S + (x, c) is independent mod p
 for a (k-2)-subset S: reduced against S by ``zps.remainder_mod_p``, a
 point leaves a class key (the remainder, scaled to 1 at its first nonzero
-entry) or none (it lies in the span of S), and S + (x, c) is dependent exactly when x or c has no key or
-both have the same one.  The classes are the flats one dimension above
-span(S): the lines through a point for caps, the hyperplanes through an
-(n-2)-set for arcs.
+entry) or none (it lies in the span of S), and S + (x, c) is dependent
+exactly when x or c has no key or both have the same one.  The classes are
+the flats one dimension above span(S): the lines through a point for caps,
+the hyperplanes through an (n-2)-set for arcs.
 
-The extension queries cover spans instead of testing points: a point c
-extends a set exactly when, in every component, c mod p lies outside the
-span of every (k-1)-subset of the set (all of it, when it has fewer than k
-points), that is its hyperplanes or its secant lines.  The stacks are
-walked in combination order, so each prefix of a stack is reduced once and
-shared by the stacks that start with it, and each span point of a stack is
-built once and marked blocked.  A point is kept when its residue key is
-blocked in no component, so the kept points are a product over components
-and only they are built (the covering view of complete caps in Hirschfeld,
-*Projective Geometries over Finite Fields*, 1998).  The residue of a
-canonical row needs no reduction to serve as a key: only non-units lie left
-of its unit pivot 1, so mod p it is already 1 at its first nonzero entry,
-which is how the span points are normalised too.
+The extension and completeness queries cover spans instead of testing
+points: a point c extends a set exactly when, in every component, c mod p
+lies outside the span of every (k-1)-subset of the set (all of it, when it
+has fewer than k points), that is its hyperplanes or its secant lines.
+One walk (``_walk``) serves both the membership test and the cover.  It
+takes the (k-2)-subsets S in combination order, so each prefix is reduced
+once and shared by the subsets that start with it, and it reduces each
+point after S against S once.  The keys decide membership, and S's basis
+plus a point's remainder is the basis of that (k-1)-subset, whose span
+points are built once and marked blocked, after the budget is charged.  A
+point is kept when its residue key is blocked in no component, so the kept
+points are a product over components and only they are built (the
+covering view of complete caps in Hirschfeld, *Projective Geometries over
+Finite Fields*, 1998).  The residue of a canonical row needs no reduction
+to serve as a key: only non-units lie left of its unit pivot 1, so mod p
+it is already 1 at its first nonzero entry, which is how the span points
+are normalised too.
 
-Completeness is computed along two independent routes and cross-checked:
-directly (no point extends the set) and via the residue-field projections
-(the set is complete iff at least one component projection is complete over
-its field).  Maximum sizes come from a fixed lookup table of known field
-and ring values; configurations outside the table report None (unknown)
-rather than extrapolate, and an exact backtracking search is available to
-establish the value by exhaustion.
+Completeness is computed along two routes and cross-checked: directly (no
+point extends the set) and via the residue-field projections (the set is
+complete iff at least one component projection is complete over its
+field).  A projection has the same residue rows as the set, so both routes
+read the one set of blocked keys; what they check against each other is
+the product over components that lists the kept points, and the projection
+itself.
+
+Maximum sizes come from a fixed lookup table of known field and ring
+values; configurations outside the table report None (unknown) rather than
+extrapolate, and an exact backtracking search is available to establish
+the value by exhaustion.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ from .errors import (
     NotAnArcError,
     RingMismatchError,
     ShapeMismatchError,
-    charge,
+    charge_power,
 )
 from .matrix import Matrix
 from .ring import LocalRing, Ring
@@ -162,38 +171,64 @@ _ARC = _Kind("arc", "an", 2, None, NotAnArcError)
 _CAP = _Kind("cap", "a", 3, 3, NotACapError)
 
 
-def _in_general_position(ps: PointSet, kind: _Kind) -> bool:
-    """Every k points (all, when fewer) are independent in every component.
+def _walk(ps: PointSet, k: int, keep: bool) -> list[list[tuple]] | None:
+    """The mod-p basis of every (k-1)-subset of the set, per component, or
+    None when the set is not in general position.
 
-    A k-subset is checked from its first k-2 points S: S is independent and
-    the later points have distinct class keys over S.  Each S with two or
-    more points after it has its keys taken once, so each k-subset is
-    checked exactly once.
+    A set with fewer than k points stands for its one subset of them all.
+    In each component the (k-2)-subsets S with a point after them are
+    walked in combination order, so each prefix is reduced once with
+    ``zps.echelon_add_mod_p``, and each later point is reduced against S
+    once by ``zps.remainder_mod_p``.  A point that leaves no remainder, or
+    the remainder an earlier point left, makes a k-subset through S
+    dependent (module docstring), so every k-subset is checked, from its
+    first k-2 points.  Otherwise S's basis plus the remainder is the basis
+    of that (k-1)-subset, kept when ``keep`` is set; the lists are empty
+    otherwise.
     """
+    out = []
+    for ci, comp in enumerate(ps.ring.components):
+        p = comp.prime
+        rows = [pt.canons[ci][0] for pt in ps.points]
+        bases: list[tuple] = []
+
+        def walk(basis, start: int, left: int) -> bool:
+            if left:
+                for i in range(start, len(rows) - left):
+                    grown = zps.echelon_add_mod_p(basis, rows[i], p)
+                    if grown is None or not walk(grown, i + 1, left - 1):
+                        return False
+                return True
+            seen = set()
+            for row in rows[start:]:
+                added = zps.remainder_mod_p(basis, row, p)
+                if added is None or added[1] in seen:
+                    return False
+                seen.add(added[1])
+                if keep:
+                    bases.append(basis + (added,))
+            return True
+
+        if rows and not walk((), 0, min(k - 2, len(rows) - 1)):
+            return None
+        out.append(bases)
+    return out
+
+
+def _in_general_position(ps: PointSet, kind: _Kind, keep: bool = False):
+    """``_walk`` for the kind's k, after its ambient dimension is checked."""
     kind.check_ambient(ps.ambient)
-    k = kind.size(ps.ambient)
-    primes = [c.prime for c in ps.ring.components]
-    rows = _rows(ps.points)
-    if len(rows) < k:
-        return None not in _reduce(rows, primes)
-    for subset in itertools.combinations(range(len(rows) - 2), k - 2):
-        later = rows[subset[-1] + 1 :] if subset else rows
-        keys = _keys([rows[i] for i in subset], later, primes)
-        if keys is None or any(
-            None in ckeys or len(set(ckeys)) < len(ckeys) for ckeys in keys
-        ):
-            return False
-    return True
+    return _walk(ps, kind.size(ps.ambient), keep)
 
 
 def is_arc(ps: PointSet) -> bool:
     """Every n points span R^n; smaller sets must be in general position."""
-    return _in_general_position(ps, _ARC)
+    return _in_general_position(ps, _ARC) is not None
 
 
 def is_cap(ps: PointSet) -> bool:
     """Every 3 points span a free 3-subspace; needs ambient dimension >= 3."""
-    return _in_general_position(ps, _CAP)
+    return _in_general_position(ps, _CAP) is not None
 
 
 def project_point_set(ps: PointSet, i: int) -> PointSet:
@@ -216,67 +251,70 @@ def project_point_set(ps: PointSet, i: int) -> PointSet:
     return PointSet.of(field, ps.ambient, out.values())
 
 
+def _blocked(
+    ps: PointSet, stacks: list[list[tuple]], budget: int
+) -> list[set[tuple[int, ...]]]:
+    """Each component's span points of the bases ``_walk`` kept.
+
+    The budget is charged |R|^n, as for listing every point, before any
+    span point is built.
+    """
+    charge_power(ps.ring.order, ps.ambient, budget)
+    return [
+        {key for basis in bases for key in zps.span_points_mod_p(basis, c.prime)}
+        for bases, c in zip(stacks, ps.ring.components)
+    ]
+
+
 def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
-    """Points, in canonical order, whose addition keeps the set admissible.
+    """Points, in canonical order, whose addition keeps an admissible set admissible.
 
-    Covers spans as the module docstring says: ``_cover`` gives each
-    component's blocked set, and the points kept are the product over
-    components of the canonical rows whose residue key is not blocked, so
-    only they are built.  The set's own points are blocked by the stacks
-    that hold them.  The set must be admissible.  The budget is charged
-    |R|^n, as for listing every point, before any work starts.
+    The points kept are the product over components of the canonical rows
+    whose residue key is not blocked, so only they are built.  The set's
+    own points are blocked by the stacks that hold them.  A set that is not
+    admissible raises InternalError: every caller passes an admissible one.
     """
-    n = ps.ambient
-    ring = ps.ring
-    charge(ring.order**n, budget)
-    rows = _rows(ps.points)
-    size = min(len(rows), k - 1)
-    blocked = [_cover(rows, ci, c.prime, size) for ci, c in enumerate(ring.components)]
-    return points(n, ring, blocked)
+    stacks = _walk(ps, k, True)
+    if stacks is None:
+        raise InternalError("a stack of the set is dependent; this is a bug")
+    return points(ps.ambient, ps.ring, _blocked(ps, stacks, budget))
 
 
-def _cover(rows, ci: int, p: int, size: int) -> set[tuple[int, ...]]:
-    """The span points mod p, in component ci, of every size-subset of rows.
-
-    The subsets are walked in combination order and each prefix is reduced
-    once with ``zps.echelon_add_mod_p``, so N rows and size 2 (a cap's
-    secants) make N-1 + C(N,2) calls.  A dependent subset raises
-    InternalError: every caller passes an admissible set.
-    """
-    keys: set[tuple[int, ...]] = set()
-
-    def walk(basis, start: int, left: int) -> None:
-        if not left:
-            keys.update(zps.span_points_mod_p(basis, p))
-            return
-        for i in range(start, len(rows) - left + 1):
-            grown = zps.echelon_add_mod_p(basis, rows[i][ci], p)
-            if grown is None:
-                raise InternalError("a stack of the set is dependent; this is a bug")
-            walk(grown, i + 1, left - 1)
-
-    walk((), 0, size)
-    return keys
+# The queries below walk the set once with ``_walk`` and read both the
+# admission test and the spans off that walk; they do not call the public
+# is_arc / is_cap, so rebinding those (a mock, a tracer) does not reach them.
 
 
-# _extend, _is_complete and _search_max take the public is_arc / is_cap as an
-# argument, looked up when the public function runs, so rebinding the module
-# attribute (a mock, a tracer) reaches every caller.
+def _stacks(ps: PointSet, kind: _Kind) -> list[list[tuple]]:
+    """The bases ``_walk`` keeps; the kind's error when the set is not admissible."""
+    stacks = _in_general_position(ps, kind, True)
+    kind.require(stacks is not None)
+    return stacks
 
 
-def _extend(ps: PointSet, kind: _Kind, is_kind, budget: int) -> list[Subspace]:
-    kind.require(is_kind(ps))
-    return list(_extensions(ps, kind.size(ps.ambient), budget))
+def _extend(ps: PointSet, kind: _Kind, budget: int) -> list[Subspace]:
+    return points(ps.ambient, ps.ring, _blocked(ps, _stacks(ps, kind), budget))
 
 
-def _is_complete(ps: PointSet, kind: _Kind, is_kind, budget: int) -> bool:
-    kind.require(is_kind(ps))
-    k = kind.size(ps.ambient)
-    direct = not _extensions(ps, k, budget)
-    by_projection = any(
-        not _extensions(project_point_set(ps, i), k, budget)
-        for i in range(ps.ring.ell)
-    )
+def _residues(ps: PointSet, i: int) -> set[tuple[int, ...]]:
+    """The set's rows mod p in component i, all that its cover there reads."""
+    p = ps.ring.components[i].prime
+    return {tuple([x % p for x in pt.canons[i][0]]) for pt in ps.points}
+
+
+def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
+    blocked = _blocked(ps, _stacks(ps, kind), budget)
+    direct = not points(ps.ambient, ps.ring, blocked)
+    by_projection = False
+    for i, keys in enumerate(blocked):
+        proj = project_point_set(ps, i)
+        # a projection holds the set's residue rows, so it blocks the same
+        # keys; one that does not is covered on its own
+        if _residues(proj, 0) != _residues(ps, i):
+            keys = _blocked(proj, _stacks(proj, kind), budget)[0]
+        if not points(ps.ambient, proj.ring, [keys]):
+            by_projection = True
+            break
     if direct != by_projection:
         raise InternalError("completeness criteria disagree; this is a bug")
     return direct
@@ -284,11 +322,11 @@ def _is_complete(ps: PointSet, kind: _Kind, is_kind, budget: int) -> bool:
 
 def extend_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     """All points that extend the arc, in canonical order."""
-    return _extend(ps, _ARC, is_arc, budget)
+    return _extend(ps, _ARC, budget)
 
 
 def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    return _extend(ps, _CAP, is_cap, budget)
+    return _extend(ps, _CAP, budget)
 
 
 def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
@@ -298,11 +336,11 @@ def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
     iff some residue-field image is complete); the two answers are required
     to agree.
     """
-    return _is_complete(ps, _ARC, is_arc, budget)
+    return _is_complete(ps, _ARC, budget)
 
 
 def is_complete_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
-    return _is_complete(ps, _CAP, is_cap, budget)
+    return _is_complete(ps, _CAP, budget)
 
 
 # -- known maximum sizes -------------------------------------------------------
@@ -462,17 +500,17 @@ def _search(
 
 
 def _search_max(
-    frame: Sequence[Sequence[int]], ring: Ring, kind: _Kind, is_kind, budget: int
+    frame: Sequence[Sequence[int]], ring: Ring, kind: _Kind, budget: int
 ) -> PointSet:
     """A largest admissible set of R^n that holds the pinned frame.
 
     The caller charges the |R|^n that ``_extensions`` charges before it
     builds the frame, so a budget that refuses the search refuses before
-    the frame is built and checked, which costs about n^2.
+    the frame is built and checked, which costs about n^2.  ``_extensions``
+    checks the frame as it walks it, and raises InternalError if the frame
+    is not admissible.
     """
     base_set = PointSet.from_rows(ring, frame)
-    if not is_kind(base_set):
-        raise InternalError("the pinned frame is not admissible; this is a bug")
     n = base_set.ambient
     k = kind.size(n)
     candidates = _extensions(base_set, k, budget)
@@ -490,8 +528,8 @@ def search_max_arc(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     maximum, not a heuristic.
     """
     _ARC.check_ambient(n)
-    charge(ring.order**n, budget)
-    return _search_max(zps.identity(n) + ((1,) * n,), ring, _ARC, is_arc, budget)
+    charge_power(ring.order, n, budget)
+    return _search_max(zps.identity(n) + ((1,) * n,), ring, _ARC, budget)
 
 
 def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
@@ -502,5 +540,5 @@ def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     pinning them preserves the maximum size.
     """
     _CAP.check_ambient(n)
-    charge(ring.order**n, budget)
-    return _search_max(zps.identity(n)[:3], ring, _CAP, is_cap, budget)
+    charge_power(ring.order, n, budget)
+    return _search_max(zps.identity(n)[:3], ring, _CAP, budget)

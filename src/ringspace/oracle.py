@@ -28,7 +28,7 @@ from .counting import (
     count_subspaces_in,
     count_subspaces_over,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceededError, charge
+from .errors import DEFAULT_BUDGET, BudgetExceededError, charge, charge_power
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank, right_inverse
 from .ring import Element, Ring, parse_ring
 from .subspace import (
@@ -61,7 +61,7 @@ def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[S
     The budget is charged |R|^n, the size of R^n, before ``subspace.points``
     lists them.
     """
-    charge(ring.order**n, budget)
+    charge_power(ring.order, n, budget)
     return points(n, ring)
 
 
@@ -128,7 +128,7 @@ def _charge_levels(m: int, n: int, ring: Ring, budget: int) -> None:
     """
     if m == 0:
         return
-    charge(ring.order**n, budget)
+    charge_power(ring.order, n, budget)
     n_points = shape_count(1, n, ring)
     spent = 0
     for k in range(m):
@@ -152,7 +152,7 @@ def count_full_rank_enumerated(
         return 0
     if m == 0:
         return 1
-    charge(ring.order ** (m * n), budget)
+    charge_power(ring.order, m * n, budget)
     flags = [
         [
             zps.rank_mod_p([flat[i * n : (i + 1) * n] for i in range(m)], n, c.prime) == m
@@ -173,8 +173,8 @@ def brute_force_dim(gens: Matrix, budget: int = DEFAULT_BUDGET) -> int:
     """
     ring = gens.ring
     n = gens.cols
+    charge_power(ring.order, gens.rows, budget)
     spent = ring.order**gens.rows
-    charge(spent, budget)
     span: set[tuple] = set()
     for coeffs in iter_vectors(gens.rows, ring):
         vec = []

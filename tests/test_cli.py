@@ -295,6 +295,8 @@ class TestOversizeCounts:
         "argv,code,doc",
         [
             ("count gl -n 100000 --ring Z12", 1, None),
+            # Z4294967291^1000000 has 9.6 million digits; it is refused unbuilt
+            ("arc search -n 1000000 --ring Z4294967291 --budget 0", 1, None),
             # a count of 1, whose formula used to multiply out huge factors
             ("count subspaces -m 20000 -n 20000 --ring Z12", 0, {"count": "1"}),
         ],

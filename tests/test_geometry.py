@@ -10,6 +10,7 @@ from ringspace import (
     DomainError,
     InternalError,
     Matrix,
+    NotACapError,
     NotAnArcError,
     PointSet,
     ShapeMismatchError,
@@ -331,6 +332,61 @@ def test_extensions_match_walk_and_filter(name, n):
                 assert extend(s) == _walk_and_filter(s, k)
 
 
+@pytest.mark.parametrize("name", ["Z4", "Z6", "Z9", "Z5", "Z2xZ3"])
+def test_queries_on_random_sets(name):
+    """On seeded random sets of R^3, admissible and not, extend and complete
+    raise the kind's error exactly when the set is not in general position,
+    and otherwise give the points that filtering every point keeps, and
+    whether there are none."""
+    ring = parse_ring(name)
+    points = enumerate_points(3, ring)
+    rng = random.Random(f"random sets {name}^3")
+    queries = [
+        (NotAnArcError, extend_arc, is_complete_arc),
+        (NotACapError, extend_cap, is_complete_cap),
+    ]
+    sets = [rng.sample(points, rng.randrange(6)) for _ in range(30)]
+    for _ in range(10):
+        grown = []
+        while len(grown) < 4 and (
+            cands := _walk_and_filter(PointSet.of(ring, 3, grown), 3)
+        ):
+            grown.append(rng.choice(cands))
+        sets += [grown, grown + [rng.choice(points)]]
+    admissible = 0
+    for pts in sets:
+        ps = PointSet.of(ring, 3, pts)
+        for error, extend, is_complete in queries:
+            if _ref_in_general_position(ps, 3):
+                want = _walk_and_filter(ps, 3)
+                assert extend(ps) == want
+                assert is_complete(ps) == (not want)
+                admissible += 1
+            else:
+                for query in (extend, is_complete):
+                    with pytest.raises(error):
+                        query(ps)
+    assert 0 < admissible < 2 * len(sets)
+
+
+@pytest.mark.parametrize("spec,rows", [
+    ("Z4", [[1, 0, 0], [1, 2, 0]]),
+    ("Z2", [[1, 0, 0], [0, 1, 0], [1, 1, 0]]),
+    ("Z6", [[1, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]),
+])
+def test_kind_error_comes_before_the_budget(spec, rows):
+    """A set that is not admissible raises the kind's error, not the budget's,
+    even under a budget of 0."""
+    ps = PointSet.from_rows(parse_ring(spec), rows)
+    for error, queries in (
+        (NotAnArcError, (extend_arc, is_complete_arc)),
+        (NotACapError, (extend_cap, is_complete_cap)),
+    ):
+        for query in queries:
+            with pytest.raises(error):
+                query(ps, 0)
+
+
 def test_queries_list_no_points(monkeypatch, z6):
     """No query or search walks the points of R^n."""
 
@@ -383,21 +439,29 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("size", [3, 6, 10])
 def test_extensions_reduce_each_prefix_once(monkeypatch, z3, size):
-    """On an N-point cap over a prime field the covering makes N-1 + C(N,2)
-    echelon_add_mod_p calls: one per first point of a secant, one per secant."""
+    """On an N-point cap over a prime field a query reduces each of the N-1
+    first points of a secant once, with echelon_add_mod_p, and each secant's
+    second point once against it: N-1 + C(N,2) remainder_mod_p calls in
+    all, for the admission test and the spans of both completeness routes."""
     ps = PointSet.of(z3, 4, search_max_cap(4, z3).points[:size])
-    calls = _counting(monkeypatch, "echelon_add_mod_p")
-    geometry._extensions(ps, 3, 10**6)
-    assert len(calls) == size - 1 + size * (size - 1) // 2
+    added = _counting(monkeypatch, "echelon_add_mod_p")
+    remainders = _counting(monkeypatch, "remainder_mod_p")
+    for query in (lambda ps: geometry._extensions(ps, 3, 10**6), extend_cap, is_complete_cap):
+        added.clear()
+        remainders.clear()
+        query(ps)
+        assert len(added) == size - 1
+        assert len(remainders) == size - 1 + size * (size - 1) // 2
 
 
 def test_complete_covers_spans_on_both_routes(monkeypatch, z3):
-    """is_complete_cap covers every secant once directly and once through
-    the residue-field projection: 2 C(N,2) span_points_mod_p calls."""
+    """is_complete_cap covers every secant once, and the direct and the
+    residue-field projection routes read the same blocked points: C(N,2)
+    span_points_mod_p calls."""
     ps = search_max_cap(4, z3)
     calls = _counting(monkeypatch, "span_points_mod_p")
     assert is_complete_cap(ps)
-    assert len(calls) == len(ps) * (len(ps) - 1)
+    assert len(calls) == len(ps) * (len(ps) - 1) // 2
 
 
 def test_extensions_raise_on_dependent_stack(z4):

@@ -19,7 +19,8 @@ from ringspace import (
     parse_ring,
     verify_counts,
 )
-from ringspace import oracle, subspace, zps
+from ringspace import errors, oracle, subspace, zps
+from ringspace.errors import charge_power
 from ringspace.oracle import (
     DEFAULT_BUDGET,
     SuiteItem,
@@ -288,6 +289,26 @@ def test_scan_budget_raise_points(count, spent):
     count(spent)
     with pytest.raises(BudgetExceededError, match="^enumeration budget"):
         count(spent - 1)
+
+
+@pytest.mark.parametrize("base", [2, 3, 12])
+def test_charge_power_refuses_as_the_power_would(monkeypatch, base):
+    """charge_power raises exactly when base ** exponent exceeds the budget,
+    and an exponent at or past the budget's bit length is refused before
+    the power is taken."""
+    budgets = [-1, 0, 1] + [b for k in (1, 2, 5, 12) for b in (2**k - 1, 2**k)]
+    for budget in budgets:
+        bits = budget.bit_length()
+        for exponent in range(max(bits - 3, 0), bits + 3):
+            if base**exponent > budget:
+                with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+                    charge_power(base, exponent, budget)
+            else:
+                charge_power(base, exponent, budget)
+    with monkeypatch.context() as m:
+        m.setattr(errors, "charge", None)
+        with pytest.raises(BudgetExceededError):
+            charge_power(base, 10**12, 2**40)
 
 
 class TestFullRankEnumeration:
