@@ -24,7 +24,8 @@ takes the (k-2)-subsets S in combination order, so each prefix is reduced
 once and shared by the subsets that start with it, and it reduces each
 point after S against S once.  The keys decide membership, and S's basis
 plus a point's remainder is the basis of that (k-1)-subset, whose span
-points are built once and marked blocked, after the budget is charged.  A
+points are built once and marked blocked.  The budget is charged before
+any basis is kept, and a query it refuses is walked for membership only.  A
 point is kept when its residue key is blocked in no component, so the kept
 points are a product over components and only they are built (the
 covering view of complete caps in Hirschfeld, *Projective Geometries over
@@ -52,7 +53,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from . import zps
 from .errors import (
@@ -162,9 +163,8 @@ class _Kind:
                 f"{self.name}s need ambient dimension >= {self.min_ambient}"
             )
 
-    def require(self, member: bool) -> None:
-        if not member:
-            raise self.error(f"input is not {self.article} {self.name}")
+    def reject(self) -> NoReturn:
+        raise self.error(f"input is not {self.article} {self.name}")
 
 
 _ARC = _Kind("arc", "an", 2, None, NotAnArcError)
@@ -215,20 +215,16 @@ def _walk(ps: PointSet, k: int, keep: bool) -> list[list[tuple]] | None:
     return out
 
 
-def _in_general_position(ps: PointSet, kind: _Kind, keep: bool = False):
-    """``_walk`` for the kind's k, after its ambient dimension is checked."""
-    kind.check_ambient(ps.ambient)
-    return _walk(ps, kind.size(ps.ambient), keep)
-
-
 def is_arc(ps: PointSet) -> bool:
     """Every n points span R^n; smaller sets must be in general position."""
-    return _in_general_position(ps, _ARC) is not None
+    _ARC.check_ambient(ps.ambient)
+    return _walk(ps, ps.ambient, False) is not None
 
 
 def is_cap(ps: PointSet) -> bool:
     """Every 3 points span a free 3-subspace; needs ambient dimension >= 3."""
-    return _in_general_position(ps, _CAP) is not None
+    _CAP.check_ambient(ps.ambient)
+    return _walk(ps, 3, False) is not None
 
 
 def project_point_set(ps: PointSet, i: int) -> PointSet:
@@ -251,33 +247,50 @@ def project_point_set(ps: PointSet, i: int) -> PointSet:
     return PointSet.of(field, ps.ambient, out.values())
 
 
-def _blocked(
-    ps: PointSet, stacks: list[list[tuple]], budget: int
-) -> list[set[tuple[int, ...]]]:
-    """Each component's span points of the bases ``_walk`` kept.
+def _dependent_stack() -> NoReturn:
+    raise InternalError("a stack of the set is dependent; this is a bug")
 
-    The budget is charged |R|^n, as for listing every point, before any
-    span point is built.
+
+def _blocked(
+    ps: PointSet, k: int, budget: int, reject: Callable[[], NoReturn]
+) -> list[set[tuple[int, ...]]]:
+    """Each component's span points of every (k-1)-subset of the set.
+
+    ``reject`` raises when the set is not admissible.  The budget is charged
+    |R|^n, as for listing every point, before ``_walk`` keeps any basis: a
+    refused set is walked for admission only, so it still raises
+    ``reject``'s error first when it is not admissible.
     """
-    charge_power(ps.ring.order, ps.ambient, budget)
+    try:
+        charge_power(ps.ring.order, ps.ambient, budget)
+    except BudgetExceededError:
+        if _walk(ps, k, False) is None:
+            reject()
+        raise
+    stacks = _walk(ps, k, True)
+    if stacks is None:
+        reject()
     return [
         {key for basis in bases for key in zps.span_points_mod_p(basis, c.prime)}
         for bases, c in zip(stacks, ps.ring.components)
     ]
 
 
-def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
+def _extensions(
+    ps: PointSet,
+    k: int,
+    budget: int,
+    reject: Callable[[], NoReturn] = _dependent_stack,
+) -> list[Subspace]:
     """Points, in canonical order, whose addition keeps an admissible set admissible.
 
     The points kept are the product over components of the canonical rows
     whose residue key is not blocked, so only they are built.  The set's
     own points are blocked by the stacks that hold them.  A set that is not
-    admissible raises InternalError: every caller passes an admissible one.
+    admissible raises InternalError unless ``reject`` says otherwise: the
+    search only passes admissible ones.
     """
-    stacks = _walk(ps, k, True)
-    if stacks is None:
-        raise InternalError("a stack of the set is dependent; this is a bug")
-    return points(ps.ambient, ps.ring, _blocked(ps, stacks, budget))
+    return points(ps.ambient, ps.ring, _blocked(ps, k, budget, reject))
 
 
 # The queries below walk the set once with ``_walk`` and read both the
@@ -285,15 +298,15 @@ def _extensions(ps: PointSet, k: int, budget: int) -> list[Subspace]:
 # is_arc / is_cap, so rebinding those (a mock, a tracer) does not reach them.
 
 
-def _stacks(ps: PointSet, kind: _Kind) -> list[list[tuple]]:
-    """The bases ``_walk`` keeps; the kind's error when the set is not admissible."""
-    stacks = _in_general_position(ps, kind, True)
-    kind.require(stacks is not None)
-    return stacks
+def extend_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
+    """All points that extend the arc, in canonical order."""
+    _ARC.check_ambient(ps.ambient)
+    return _extensions(ps, ps.ambient, budget, _ARC.reject)
 
 
-def _extend(ps: PointSet, kind: _Kind, budget: int) -> list[Subspace]:
-    return points(ps.ambient, ps.ring, _blocked(ps, _stacks(ps, kind), budget))
+def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
+    _CAP.check_ambient(ps.ambient)
+    return _extensions(ps, 3, budget, _CAP.reject)
 
 
 def _residues(ps: PointSet, i: int) -> set[tuple[int, ...]]:
@@ -303,30 +316,21 @@ def _residues(ps: PointSet, i: int) -> set[tuple[int, ...]]:
 
 
 def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
-    blocked = _blocked(ps, _stacks(ps, kind), budget)
+    kind.check_ambient(ps.ambient)
+    blocked = _blocked(ps, kind.size(ps.ambient), budget, kind.reject)
     direct = not points(ps.ambient, ps.ring, blocked)
     by_projection = False
     for i, keys in enumerate(blocked):
         proj = project_point_set(ps, i)
-        # a projection holds the set's residue rows, so it blocks the same
-        # keys; one that does not is covered on its own
+        # a projection holds the set's residue rows, so it blocks the same keys
         if _residues(proj, 0) != _residues(ps, i):
-            keys = _blocked(proj, _stacks(proj, kind), budget)[0]
+            raise InternalError("completeness criteria disagree; this is a bug")
         if not points(ps.ambient, proj.ring, [keys]):
             by_projection = True
             break
     if direct != by_projection:
         raise InternalError("completeness criteria disagree; this is a bug")
     return direct
-
-
-def extend_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    """All points that extend the arc, in canonical order."""
-    return _extend(ps, _ARC, budget)
-
-
-def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
-    return _extend(ps, _CAP, budget)
 
 
 def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:

@@ -387,6 +387,25 @@ def test_kind_error_comes_before_the_budget(spec, rows):
                 query(ps, 0)
 
 
+def test_refused_queries_keep_no_bases(monkeypatch, z4):
+    """A query the budget refuses walks the set for admission only: no
+    basis is kept before the budget raises."""
+    keeps = []
+    walk = geometry._walk
+    monkeypatch.setattr(
+        geometry, "_walk", lambda ps, k, keep: keeps.append(keep) or walk(ps, k, keep)
+    )
+    ps = PointSet.from_rows(z4, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for query in (extend_arc, extend_cap, is_complete_arc, is_complete_cap):
+        keeps.clear()
+        with pytest.raises(BudgetExceededError):
+            query(ps, 0)
+        assert keeps == [False]
+        keeps.clear()
+        query(ps)
+        assert keeps == [True]
+
+
 def test_queries_list_no_points(monkeypatch, z6):
     """No query or search walks the points of R^n."""
 
