@@ -27,20 +27,24 @@ plus a point's remainder is the basis of that (k-1)-subset, whose span
 points are built once and marked blocked.  The budget is charged before
 any basis is kept, and a query it refuses is walked for membership only.  A
 point is kept when its residue key is blocked in no component, so the kept
-points are a product over components and only they are built (the
-covering view of complete caps in Hirschfeld, *Projective Geometries over
-Finite Fields*, 1998).  The residue of a canonical row needs no reduction
-to serve as a key: only non-units lie left of its unit pivot 1, so mod p
-it is already 1 at its first nonzero entry, which is how the span points
-are normalised too.
+points are a product over components, and the extension queries build only
+them (the covering view of complete caps in Hirschfeld, *Projective
+Geometries over Finite Fields*, 1998).  The residue of a canonical row
+needs no reduction to serve as a key: only non-units lie left of its unit
+pivot 1, so mod p it is already 1 at its first nonzero entry, which is how
+the span points are normalised too.
 
-Completeness is computed along two routes and cross-checked: directly (no
-point extends the set) and via the residue-field projections (the set is
-complete iff at least one component projection is complete over its
-field).  A projection has the same residue rows as the set, so both routes
-read the one set of blocked keys; what they check against each other is
-the product over components that lists the kept points, and the projection
-itself.
+Completeness is computed along two routes and cross-checked, and neither
+builds a point.  Directly, no point extends the set exactly when the kept
+points' product is empty, that is when some component has no canonical row
+over Z_{p^s} whose residue key is unblocked; that scan reads the rows
+``shapes`` allows.  Via the residue-field projections, the set is complete
+iff at least one component projection is complete over its field, that is
+when its blocked keys, each a normalised point of PG(n-1, p), number all
+(p^n - 1)/(p - 1) of them.  A projection has the same residue rows as the
+set, so both routes read the one set of blocked keys; what they check
+against each other is a scan of canonical ring rows against a count of
+field points.
 
 Maximum sizes come from a fixed lookup table of known field and ring
 values; configurations outside the table report None (unknown) rather than
@@ -69,7 +73,7 @@ from .errors import (
 )
 from .matrix import Matrix
 from .ring import LocalRing, Ring
-from .subspace import Subspace, point_sort_key, points
+from .subspace import Subspace, point_sort_key, points, shapes
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,17 +319,40 @@ def _residues(ps: PointSet, i: int) -> set[tuple[int, ...]]:
     return {tuple([x % p for x in pt.canons[i][0]]) for pt in ps.points}
 
 
+def _covered(n: int, comp: LocalRing, keys: set[tuple[int, ...]]) -> bool:
+    """Every canonical row of Z_{p^s}^n has its residue key in ``keys``.
+
+    The rows are taken lazily from ``shapes``, and the scan stops at the
+    first row that is left unblocked.  It reads fewer rows than the |R|^n
+    that ``_blocked`` charged.
+    """
+    p = comp.prime
+    return all(
+        tuple([x % p for x in row]) in keys
+        for _, (shape,) in shapes(1, n, comp)
+        for row in itertools.product(*shape)
+    )
+
+
 def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
+    """Whether no point extends the set, by two routes that must agree.
+
+    Both read the keys of one ``_blocked`` call and build no point; the
+    cross-check compares a scan of canonical ring rows (``_covered``) with a
+    count of field points (module docstring).
+    """
     kind.check_ambient(ps.ambient)
-    blocked = _blocked(ps, kind.size(ps.ambient), budget, kind.reject)
-    direct = not points(ps.ambient, ps.ring, blocked)
+    n = ps.ambient
+    blocked = _blocked(ps, kind.size(n), budget, kind.reject)
+    comps = ps.ring.components
+    direct = any(_covered(n, c, keys) for c, keys in zip(comps, blocked))
     by_projection = False
-    for i, keys in enumerate(blocked):
+    for i, (c, keys) in enumerate(zip(comps, blocked)):
         proj = project_point_set(ps, i)
         # a projection holds the set's residue rows, so it blocks the same keys
         if _residues(proj, 0) != _residues(ps, i):
             raise InternalError("completeness criteria disagree; this is a bug")
-        if not points(ps.ambient, proj.ring, [keys]):
+        if len(keys) == (c.prime**n - 1) // (c.prime - 1):
             by_projection = True
             break
     if direct != by_projection:

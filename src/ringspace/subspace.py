@@ -25,7 +25,7 @@ from .errors import (
     RingMismatchError,
     ShapeMismatchError,
 )
-from .matrix import Matrix, completion
+from .matrix import Matrix
 from .ring import LocalRing, Ring
 
 Rows = tuple[tuple[int, ...], ...]
@@ -325,17 +325,22 @@ def _residue_independent_rows(h: Rows, p: int) -> Rows:
 def dual(s: Subspace) -> Subspace:
     """Orthogonal complement {y : x . y = 0 for all x in the subspace}.
 
-    With S the completion (A*S = (I | 0)), the dual is spanned by the
-    transposes of the last n - m columns of S; it is free of dimension n - m.
+    In each component a canonical row r_i is 1 at its pivot c_i and 0 at
+    the other pivots, so for every non-pivot column f the row
+    e_f - sum_i r_i[f] e_{c_i} is orthogonal to every r_i.  These n - m rows
+    are 1 at their own f and 0 at the other non-pivot columns: a unimodular
+    basis of a free (n - m)-subspace inside the dual, which is free of that
+    rank too, so they span it.
     """
-    n, m = s.ambient, s.dim
-    comp_s = completion(s.display)
-    idx = range(m, n)
-    dual_comps = tuple(
-        tuple(tuple(c[i][j] for i in range(n)) for j in idx) for c in comp_s.comps
+    n = s.ambient
+    comps = tuple(
+        [
+            [-rows[pivs.index(j)][f] % comp.order if j in pivs else int(j == f) for j in range(n)]
+            for f in range(n) if f not in pivs
+        ]
+        for rows, pivs, comp in zip(s.canons, s.pivots, s.ring.components)
     )
-    mat = Matrix(s.ring, n - m, n, dual_comps)
-    return Subspace.from_matrix(mat)
+    return Subspace.from_matrix(Matrix(s.ring, n - s.dim, n, comps))
 
 
 @dataclass(frozen=True, slots=True)

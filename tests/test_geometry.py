@@ -29,7 +29,7 @@ from ringspace import (
     search_max_arc,
     search_max_cap,
 )
-from ringspace import geometry, oracle, zps
+from ringspace import geometry, oracle, subspace, zps
 
 
 def all_arcs(ring, n, limit=None):
@@ -481,6 +481,77 @@ def test_complete_covers_spans_on_both_routes(monkeypatch, z3):
     calls = _counting(monkeypatch, "span_points_mod_p")
     assert is_complete_cap(ps)
     assert len(calls) == len(ps) * (len(ps) - 1) // 2
+
+
+def _greedy(ring, n, extend, rng):
+    """A complete set, grown by a seeded choice among the points that extend it."""
+    full = []
+    while cands := extend(PointSet.of(ring, n, full)):
+        full.append(rng.choice(cands))
+    return full
+
+
+def test_completeness_builds_no_point(monkeypatch, z3, z6, z12):
+    """Both completeness routes answer from the blocked keys: with every
+    point builder replaced by one that raises, is_complete_* still answer,
+    and extend_cap, which lists its points, raises."""
+    rng = random.Random("no points")
+    z2xz3 = parse_ring("Z2xZ3")
+    cases = [(is_complete_cap, search_max_cap(4, z3), True)]
+    for ring, n in [(z12, 3), (z2xz3, 4)]:
+        for query, extend in [(is_complete_arc, extend_arc), (is_complete_cap, extend_cap)]:
+            full = _greedy(ring, n, extend, rng)
+            cases.append((query, PointSet.of(ring, n, full[: (len(full) + 1) // 2]), False))
+    arc = PointSet.of(z6, 3, _greedy(z6, 3, extend_arc, rng))
+    cases += [(is_complete_arc, arc, True), (is_complete_cap, arc, True)]
+
+    def build(*args, **kwargs):
+        raise AssertionError("a point was built")
+
+    monkeypatch.setattr(geometry, "points", build)
+    monkeypatch.setattr(subspace, "subspaces", build)
+    for query, ps, want in cases:
+        assert query(ps) is want
+    with pytest.raises(AssertionError, match="a point was built"):
+        extend_cap(cases[0][1])
+
+
+def _points_route(ps, kind):
+    """``is_complete_*`` as it was: both routes list the kept points, over
+    the ring and over each residue field, and test the lists for emptiness."""
+    n = ps.ambient
+    blocked = geometry._blocked(ps, kind.size(n), 10**9, kind.reject)
+    direct = not subspace.points(n, ps.ring, blocked)
+    by_projection = any(
+        not subspace.points(n, project_point_set(ps, i).ring, [keys])
+        for i, keys in enumerate(blocked)
+    )
+    assert direct == by_projection
+    return direct
+
+
+@pytest.mark.parametrize("spec,n", [
+    ("Z27", 2), ("Z25", 2), ("Z8", 3), ("Z4xZ9", 3), ("Z2xZ2xZ3", 3),
+])
+def test_completeness_matches_points_route(spec, n):
+    """On seeded greedy complete sets, their halves and the sets less their
+    last point, is_complete_* answer as listing the kept points does: deep
+    chain rings, lifts and many components."""
+    ring = parse_ring(spec)
+    rng = random.Random(f"points route {spec}^{n}")
+    kinds = [(geometry._ARC, extend_arc, is_complete_arc)]
+    if n >= 3:
+        kinds.append((geometry._CAP, extend_cap, is_complete_cap))
+    complete = 0
+    for kind, extend, is_complete in kinds:
+        for _ in range(3):
+            full = _greedy(ring, n, extend, rng)
+            for pts in (full, full[: (len(full) + 1) // 2], full[:-1]):
+                ps = PointSet.of(ring, n, pts)
+                want = _points_route(ps, kind)
+                assert is_complete(ps) == want
+                complete += want
+    assert complete == 3 * len(kinds)
 
 
 def test_extensions_raise_on_dependent_stack(z4):

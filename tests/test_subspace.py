@@ -29,6 +29,7 @@ from ringspace import (
     subspace_span,
 )
 from ringspace import subspace, zps
+from ringspace.matrix import completion
 from ringspace.ring import Ring
 from strategies import free_subspace
 
@@ -374,6 +375,37 @@ def test_dual_is_an_involution(s):
     d = dual(s)
     assert d.dim == s.ambient - s.dim
     assert dual(d) == s
+
+
+def _completion_dual(s):
+    """``dual`` the long way: with S the completion (A*S = (I | 0)), the
+    transposes of the last n - m columns of S, canonicalized."""
+    n, m = s.ambient, s.dim
+    comps = tuple(
+        tuple(tuple(c[i][j] for i in range(n)) for j in range(m, n))
+        for c in completion(s.display).comps
+    )
+    return Subspace.from_matrix(Matrix(s.ring, n - m, n, comps))
+
+
+@pytest.mark.parametrize("spec,n", [("Z4", 3), ("Z6", 3), ("Z9", 2), ("Z2xZ9", 2)])
+def test_dual_matches_completion_route_on_every_subspace(spec, n):
+    ring = parse_ring(spec)
+    for m in range(n + 1):
+        for s in subspace.subspaces(m, n, ring):
+            assert dual(s) == _completion_dual(s)
+
+
+@st.composite
+def wide_subspaces(draw):
+    ring = parse_ring(draw(st.sampled_from(["Z720720", "Z64"])))
+    return free_subspace(draw, ring, 8, draw(st.integers(0, 8)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(wide_subspaces())
+def test_dual_matches_completion_route_wide(s):
+    assert dual(s) == _completion_dual(s)
 
 
 @dataclass(frozen=True, slots=True)

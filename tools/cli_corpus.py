@@ -18,9 +18,13 @@ The sections:
   2x2 matrix over Z4 and Z6;
 - ``subspace``: ``subspace meet``, ``join`` and ``dimcheck`` on every ordered
   pair of subspaces of Z4^2, as ``singular enumerate -k 0`` lists them;
-- ``refusals``: payloads that are refused, and matrices without full rank.
+- ``refusals``: payloads that are refused, and matrices without full rank;
+- ``geometry``: ``arc|cap extend`` and ``complete`` over Z6^3, Z12^3, Z9^3
+  and Z2xZ3^4, on every prefix of seeded greedy complete sets (grown
+  through ``extend``), and on each set plus one point, which is not
+  admissible.
 
-It takes about 20 seconds on one core.
+It takes about 30 seconds on one core.
 """
 
 import argparse
@@ -30,6 +34,7 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -124,12 +129,42 @@ def subspace_calls():
             yield ["subspace", command, "--ring", "Z4", "--a", json.dumps(a), "--b", json.dumps(b)]
 
 
+GEOMETRY = [("Z6", 3), ("Z12", 3), ("Z9", 3), ("Z2xZ3", 4)]
+
+
+def geometry_calls():
+    for ring, n in GEOMETRY:
+        for kind, seed in itertools.product(("arc", "cap"), range(3)):
+            rng = random.Random(f"{kind} {ring}^{n} {seed}")
+
+            def query(command, rows):
+                return [kind, command, "--ring", ring, "-n", str(n), "--points", json.dumps(rows)]
+
+            # extend on every prefix, as the set grows
+            full = []
+            while True:
+                argv = query("extend", full)
+                yield argv
+                cands = json.loads(run(argv)[1])["extensions"]
+                if not cands:
+                    break
+                if not full:
+                    first = cands
+                full.append(rng.choice(cands))
+            # a complete set plus any other point is not admissible
+            extra = next(row for row in first if row not in full)
+            for rows in [full[:size] for size in range(len(full) + 1)] + [full + [extra]]:
+                yield query("complete", rows)
+            yield query("extend", full + [extra])
+
+
 SECTIONS = {
     "readme": lambda: (line.split(" ") for line in README),
     "singular": singular_calls,
     "matrix": matrix_calls,
     "subspace": subspace_calls,
     "refusals": lambda: iter(REFUSALS),
+    "geometry": geometry_calls,
 }
 
 
