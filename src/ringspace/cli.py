@@ -35,10 +35,26 @@ def _matrix(args, attr: str = "matrix"):
     return serialize.parse_matrix(_ring(args), payload)
 
 
-def _subspace(args, attr: str):
+def _subspace(args, attr: str, width: int = 0):
+    """The --attr rows as a subspace; ``[]`` is the zero subspace of R^width.
+
+    An empty row list carries no width, so the command supplies it.
+    """
     from . import subspace
 
-    return subspace.Subspace.from_matrix(_matrix(args, attr))
+    a = _matrix(args, attr)
+    if not a.rows:
+        return subspace.Subspace.zero(a.ring, width)
+    return subspace.Subspace.from_matrix(a)
+
+
+def _pair(args):
+    """The --a and --b subspaces; an empty one takes the other's width."""
+    from . import subspace
+
+    a, b = _subspace(args, "a"), _subspace(args, "b")
+    zero = subspace.Subspace.zero
+    return (a if a.dim else zero(a.ring, b.ambient)), (b if b.dim else zero(b.ring, a.ambient))
 
 
 def _point_set(args):
@@ -121,7 +137,7 @@ def _meet_or_join(args, operation: str):
     """The meet or join of the --a and --b subspaces, as its JSON payload."""
     from . import subspace
 
-    l = getattr(subspace, operation)(_subspace(args, "a"), _subspace(args, "b"))
+    l = getattr(subspace, operation)(*_pair(args))
     out = serialize.linear_subset_to_json(l)
     out["canonical"] = (
         serialize.subspace_to_json(subspace.as_subspace(l)) if out["free"] else None
@@ -146,7 +162,7 @@ def _cmd_subspace_dual(args):
 def _cmd_subspace_dimcheck(args):
     from . import subspace
 
-    st, laws = subspace._dimcheck(_subspace(args, "a"), _subspace(args, "b"))
+    st, laws = subspace._dimcheck(*_pair(args))
     out = dataclasses.asdict(st)
     out["meet_law"] = laws.meet_law_holds if laws else None
     out["join_law"] = laws.join_law_holds if laws else None
@@ -195,7 +211,7 @@ def _typed(args):
     from . import singular
 
     space = singular.SingularSpace(_ring(args), args.n, args.k)
-    return singular.type_of(_subspace(args, "matrix"), space)
+    return singular.type_of(_subspace(args, "matrix", space.ambient), space)
 
 
 def _cmd_singular_type(args):

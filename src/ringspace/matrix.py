@@ -134,10 +134,15 @@ def is_unimodular_rows(a: Matrix) -> bool:
 
 def completion(a: Matrix) -> Matrix:
     """Invertible S with A*S = (I | 0), for A with unimodular rows."""
+    return _completion(a, inverse=False)
+
+
+def _completion(a: Matrix, inverse: bool) -> Matrix:
+    """S with A*S = (I | 0), or S^-1 with ``inverse``, per component."""
     if a.rows > a.cols:
         raise ShapeMismatchError("more rows than columns")
     comps = tuple(
-        zps.completion(c, a.cols, comp.prime, comp.order)
+        zps.completion(c, a.cols, comp.prime, comp.order, inverse=inverse)
         for c, comp in zip(a.comps, a.ring.components)
     )
     return Matrix(a.ring, a.cols, a.cols, comps)
@@ -163,10 +168,12 @@ def gl_inverse(a: Matrix) -> Matrix:
 def extend_to_basis(a: Matrix) -> Matrix:
     """Extend unimodular rows to an invertible n x n matrix.
 
-    The result is the inverse of the completion, whose first m rows equal A
-    exactly.
+    The result is S^-1 for the completion S of A, whose first m rows equal A
+    exactly, as A = (I | 0) * S^-1.  It is built in the completion's own
+    column reduction, by the inverse row operations (``zps.completion``
+    with ``inverse``), so no second reduction inverts S.
     """
-    ext = gl_inverse(completion(a))
+    ext = _completion(a, inverse=True)
     if not all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps)):
         raise InternalError("the extended basis must start with the input rows")
     return ext

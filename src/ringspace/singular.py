@@ -167,28 +167,30 @@ def canonical_mt_transform(
     into tail columns at most; a tail row's touches tail columns only.  No
     column operation puts a head entry into a tail row of T, so T stays
     block upper triangular.
+
+    C is built from the identity rows at the targets, which are increasing,
+    so they are already its canonical form with the targets as pivots, in
+    every component.  The completion maps each of P's rows to one of them
+    exactly, so P * T is checked against C's rows entry for entry.
     """
     if not tp.typed:
         raise UntypedSubspaceError("subspace has no (m, t) type")
     space = tp.space
     ring, n, k = space.ring, space.n, space.k
     m, t = tp.m, tp.t
-    targets = [*range(m - t), *range(n, n + t)]
+    targets = (*range(m - t), *range(n, n + t))
     trans = Matrix(ring, n + k, n + k, tuple(
         zps.completion(c, n + k, comp.prime, comp.order, targets)
         for c, comp in zip(tp.subspace.canons, ring.components)
     ))
-
-    canon_rows = [
-        [1 if j == i else 0 for j in range(n + k)] for i in range(m - t)
-    ] + [[1 if j == n + i else 0 for j in range(n + k)] for i in range(t)]
-    target = (
-        Subspace.from_matrix(Matrix.from_entries(ring, canon_rows))
-        if m
-        else Subspace.zero(ring, n + k)
-    )
+    rows = tuple(tuple(1 if j == c else 0 for j in range(n + k)) for c in targets)
+    ell = ring.ell
+    target = Subspace(ring, n + k, m, (rows,) * ell, (targets,) * ell)
     if not is_in_gl_nk(trans, space):
         raise InternalError("the transform must lie in the block group")
-    if Subspace.from_matrix(tp.subspace.display.mul(trans)) != target:
+    if any(
+        zps.matmul(c, tc, comp.order) != rows
+        for c, tc, comp in zip(tp.subspace.canons, trans.comps, ring.components)
+    ):
         raise InternalError("the transform must carry P to the canonical subspace")
     return trans, target

@@ -7,6 +7,8 @@ delegates to; they know nothing about product rings.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .errors import InternalError, NotFullRankError, NotInvertibleError
 
 
@@ -26,14 +28,16 @@ def identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def matmul(a, b, pe: int) -> tuple[tuple[int, ...], ...]:
-    """Product of an m x k and a k x n matrix mod pe."""
+    """Product of an m x k and a k x n matrix mod pe.
+
+    Each entry is one ``sum(map(mul, row, col)) % pe`` over a column of the
+    transposed b, whose inner loop runs in C.  An empty b (k = 0) gives m
+    empty rows, since it carries no n.
+    """
     if a and b and len(a[0]) != len(b):
         raise InternalError("inner dimensions of the product differ")
-    bt = list(zip(*b)) if b else []
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % pe for col in bt)
-        for row in a
-    )
+    bt = list(zip(*b))
+    return tuple(tuple([sum(map(mul, row, col)) % pe for col in bt]) for row in a)
 
 
 def rank_mod_p(rows, ncols: int, p: int) -> int:
@@ -276,19 +280,30 @@ def left_kernel(rows, ncols: int, p: int, s: int) -> tuple[tuple[int, ...], ...]
     return howell(ker, m, p, s)
 
 
-def completion(rows, ncols: int, p: int, pe: int, targets=None) -> tuple[tuple[int, ...], ...]:
-    """Invertible S with rows * S = the identity rows at ``targets``.
+def completion(
+    rows, ncols: int, p: int, pe: int, targets=None, *, inverse: bool = False
+) -> tuple[tuple[int, ...], ...]:
+    """Invertible S with rows * S = the identity rows at ``targets``, or S^-1.
 
     Row r goes to the identity row with its 1 in column targets[r]; the
     default ``range(m)`` gives rows * S = (I | 0).  Column reduction: for
     each row pick the leftmost unit entry from its target on, swap it into
-    place, scale the column, then clear the rest of the row.  The same
-    column operations applied to the identity accumulate S.  Targets must
+    place, scale the column, then clear the rest of the row.  Targets must
     increase, so no swap moves an earlier row's 1; a row with no unit from
     its target on raises NotFullRankError.
+
+    The accumulator starts as the identity.  By default the same column
+    operations act on it, which builds S.  With ``inverse`` each one's
+    inverse acts on it from the left instead, which builds S^-1 in the same
+    pass: a column swap becomes the same row swap, scaling column r by
+    u^-1 becomes scaling row r by the old pivot u, and ``col c -= f*col r``
+    becomes ``row r += f*row c``.  Since rows * S = (I | 0) at the default
+    targets, the first m rows of S^-1 are the input rows.
     """
     a = [list(r) for r in rows]
-    s_mat = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    acc = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    # the rows whose columns the column operations act on
+    by_cols = a if inverse else a + acc
     for row, r in zip(a, range(len(a)) if targets is None else targets):
         piv = None
         for j in range(r, ncols):
@@ -298,23 +313,29 @@ def completion(rows, ncols: int, p: int, pe: int, targets=None) -> tuple[tuple[i
         if piv is None:
             raise NotFullRankError("rows do not have full McCoy rank")
         if piv != r:
-            for mat in (a, s_mat):
-                for rw in mat:
-                    rw[r], rw[piv] = rw[piv], rw[r]
-        inv = pow(row[r], -1, pe)
+            for rw in by_cols:
+                rw[r], rw[piv] = rw[piv], rw[r]
+            if inverse:
+                acc[r], acc[piv] = acc[piv], acc[r]
+        u = row[r]
+        inv = pow(u, -1, pe)
         if inv != 1:
-            for mat in (a, s_mat):
-                for rw in mat:
-                    rw[r] = rw[r] * inv % pe
-        for c in range(ncols):
-            if c != r:
-                f = row[c]
-                if f:
-                    for mat in (a, s_mat):
-                        for rw in mat:
-                            if rw[r]:
-                                rw[c] = (rw[c] - f * rw[r]) % pe
-    return tuple(tuple(rw) for rw in s_mat)
+            for rw in by_cols:
+                rw[r] = rw[r] * inv % pe
+            if inverse:
+                acc[r] = [x * u % pe for x in acc[r]]
+        # clearing one column changes no other entry of row, as row[r] is 1
+        clears = [(c, f) for c, f in enumerate(row) if f and c != r]
+        for c, f in clears:
+            for rw in by_cols:
+                if rw[r]:
+                    rw[c] = (rw[c] - f * rw[r]) % pe
+        if inverse and clears:
+            # the row additions change row r only, so they add up in one pass
+            fs = [1] + [f for _, f in clears]
+            summands = [acc[r]] + [acc[c] for c, _ in clears]
+            acc[r] = [sum(map(mul, fs, col)) % pe for col in zip(*summands)]
+    return tuple(tuple(rw) for rw in acc)
 
 
 def inverse(rows, p: int, pe: int) -> tuple[tuple[int, ...], ...]:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from ringspace import Matrix, Subspace, zps
 
 
-def free_subspace(draw, ring, n, m):
-    """A free m-subspace of R^n: in each component the rows are
+def unimodular_rows(draw, ring, n, m):
+    """m unimodular rows of length n: in each component the rows are
     L * (I | X) with columns permuted, L unit lower triangular, plus p times
-    noise, so every free row module of the shape comes up."""
+    noise, so every free row module of the shape comes up, spanned by rows
+    that are rarely its canonical ones."""
     comps = []
     for comp in ring.components:
         p, pe = comp.prime, comp.order
@@ -28,4 +29,9 @@ def free_subspace(draw, ring, n, m):
                 for row in zps.matmul(low, base, pe)
             )
         )
-    return Subspace.from_matrix(Matrix(ring, m, n, tuple(comps)))
+    return Matrix(ring, m, n, tuple(comps))
+
+
+def free_subspace(draw, ring, n, m):
+    """A free m-subspace of R^n, spanned by ``unimodular_rows``."""
+    return Subspace.from_matrix(unimodular_rows(draw, ring, n, m))

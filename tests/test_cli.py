@@ -175,6 +175,26 @@ class TestSubspaceCommands:
         assert doc2["formula_holds"] is True
         assert doc2["meet_law"] is True and doc2["join_law"] is True
 
+    @pytest.mark.parametrize("line", ["[[0,1]]", "[[1,2]]", "[[1,0],[0,1]]"])
+    @pytest.mark.parametrize("empty_first", [True, False])
+    def test_empty_operand_is_the_zero_subspace(self, capsys, line, empty_first):
+        # no rows give no width, so [] takes the other operand's
+        a, b = ("[]", line) if empty_first else (line, "[]")
+        pair = ["--ring", "Z4", "--a", a, "--b", b]
+        rows = json.loads(line)
+        other = {"ambient": 2, "dim": len(rows), "rows": rows}
+        zero = {"ambient": 2, "dim": 0, "rows": []}
+        meet = run_json(capsys, ["subspace", "meet", *pair])
+        assert meet == {"ambient": 2, "dim": 0, "free": True, "generators": [],
+                        "canonical": zero}
+        join = run_json(capsys, ["subspace", "join", *pair])
+        assert join == {"ambient": 2, "dim": len(rows), "free": True,
+                        "generators": rows, "canonical": other}
+        check = run_json(capsys, ["subspace", "dimcheck", *pair])
+        assert check["formula_holds"] is True
+        assert (check["dim_join"], check["dim_meet"]) == (len(rows), 0)
+        assert check["meet_law"] is True and check["join_law"] is True
+
     @staticmethod
     def _calls(monkeypatch, module, name):
         """Count the calls of ``module.name`` from here on."""
@@ -398,6 +418,19 @@ class TestSingularCommands:
         )
         assert code == 1
         assert "type" in err
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 0), (0, 2), (2, 1)])
+    def test_empty_rows_are_the_zero_subspace_of_the_space(self, capsys, n, k):
+        # no rows give no width, so [] takes the space's n + k
+        space = ["--ring", "Z4", "-n", str(n), "-k", str(k), "--matrix", "[]"]
+        assert run_json(capsys, ["singular", "type", *space]) == {
+            "m": 0, "t": 0, "typed": True
+        }
+        eye = [[int(i == j) for j in range(n + k)] for i in range(n + k)]
+        assert run_json(capsys, ["singular", "canon", *space]) == {
+            "transform": eye,
+            "canonical": {"ambient": n + k, "dim": 0, "rows": []},
+        }
 
     def test_census(self, capsys):
         doc = run_json(

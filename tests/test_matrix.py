@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringspace import (
     BudgetExceededError,
@@ -22,6 +23,7 @@ from ringspace import (
     parse_ring,
     right_inverse,
 )
+from strategies import unimodular_rows
 
 
 def all_matrices(ring, m, n):
@@ -36,6 +38,19 @@ def random_matrix(rng, ring, m, n):
     return Matrix.from_entries(
         ring, [[rng.randrange(ring.order) for _ in range(n)] for _ in range(m)]
     )
+
+
+def two_pass_extension(a):
+    """The extension as the inverse of the completion: two column reductions."""
+    return gl_inverse(completion(a))
+
+
+def outcome(route, a):
+    """route(a), or the type and message of the error it raises."""
+    try:
+        return route(a)
+    except (NotFullRankError, ShapeMismatchError) as exc:
+        return type(exc), str(exc)
 
 
 class TestConstruction:
@@ -162,6 +177,32 @@ class TestConstructiveTransforms:
             gl_inverse(ext)
             checked += 1
 
+    # every matrix of a shape with at most this many, a seeded sample past it
+    EXHAUSTIVE = 4096
+
+    @pytest.mark.parametrize("spec", ["Z4", "Z6", "Z8", "Z2xZ4"])
+    def test_extend_to_basis_equals_the_two_pass_route(self, spec):
+        """Equal results, or the same error: m > n, or rows not unimodular."""
+        ring = parse_ring(spec)
+        rng = random.Random(f"extend {spec}")
+        extended = refused = 0
+        for n in range(1, 4):
+            for m in range(n + 2):
+                if m == 0:
+                    cases = [Matrix.zeros(ring, 0, n)]
+                elif ring.order ** (m * n) <= self.EXHAUSTIVE:
+                    cases = all_matrices(ring, m, n)
+                else:
+                    cases = (random_matrix(rng, ring, m, n) for _ in range(300))
+                for a in cases:
+                    ext = outcome(extend_to_basis, a)
+                    assert ext == outcome(two_pass_extension, a)
+                    if isinstance(ext, Matrix):
+                        extended += 1
+                    else:
+                        refused += 1
+        assert extended > 500 and refused > 500
+
     def test_low_rank_rejected(self):
         # Z12 = Z4 x Z3: [[3, 0]] is unimodular mod 4 and zero mod 3, so the
         # second component's kernel finds the defect.
@@ -174,8 +215,9 @@ class TestConstructiveTransforms:
                     transform(a)
 
     def test_too_many_rows_rejected(self, z4):
-        with pytest.raises(ShapeMismatchError, match="^more rows than columns$"):
-            completion(Matrix.from_entries(z4, [[1, 0], [0, 1]] * 2))
+        for transform in (completion, extend_to_basis):
+            with pytest.raises(ShapeMismatchError, match="^more rows than columns$"):
+                transform(Matrix.from_entries(z4, [[1, 0], [0, 1]] * 2))
 
     def test_gl_inverse(self, z6):
         a = Matrix.from_entries(z6, [[1, 2], [3, 1]])
@@ -194,3 +236,12 @@ class TestConstructiveTransforms:
             with pytest.raises(ShapeMismatchError, match="^inverse needs a square matrix$"):
                 gl_inverse(Matrix.zeros(ring, 1, 2))
 
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from(["Z64", "Z720720"]))
+def test_extend_to_basis_equals_the_two_pass_route_wide(data, spec):
+    """Over a deep chain and a ring of six components, at n = 8."""
+    ring = parse_ring(spec)
+    a = unimodular_rows(data.draw, ring, 8, data.draw(st.integers(0, 8)))
+    assert extend_to_basis(a) == two_pass_extension(a)

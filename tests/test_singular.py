@@ -1,11 +1,19 @@
 """Singular spaces: tail types, the block group, canonical reduction, census."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringspace
 from ringspace import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    InternalError,
     Matrix,
     RingMismatchError,
     SingularSpace,
@@ -20,6 +28,7 @@ from ringspace import (
     enumerate_subspaces,
     extend_to_basis,
     is_in_gl_nk,
+    mccoy_rank,
     meet,
     parse_ring,
     type_of,
@@ -229,6 +238,116 @@ class TestCanonicalTransform:
         trans, _ = canonical_mt_transform(tp)
         moved = Subspace.from_matrix(target.display.mul(trans))
         assert moved == target
+
+
+def first_completion(rows, ncols, p, pe, targets):
+    """The transform's column reduction as first written: S from column
+    operations on the identity, every matrix swept in full."""
+    a = [list(r) for r in rows]
+    s_mat = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    for row, r in zip(a, targets):
+        piv = next(j for j in range(r, ncols) if row[j] % p)
+        for rw in a + s_mat:
+            rw[r], rw[piv] = rw[piv], rw[r]
+        inv = pow(row[r], -1, pe)
+        for rw in a + s_mat:
+            rw[r] = rw[r] * inv % pe
+        for c in range(ncols):
+            f = row[c]
+            if c != r and f:
+                for rw in a + s_mat:
+                    rw[c] = (rw[c] - f * rw[r]) % pe
+    return tuple(map(tuple, s_mat))
+
+
+def first_transform(tp):
+    """The transform and target as first built: the target canonicalised
+    from its entries, and P * T canonicalised again to compare with it."""
+    space = tp.space
+    ring, n, k, m, t = space.ring, space.n, space.k, tp.m, tp.t
+    targets = [*range(m - t), *range(n, n + t)]
+    trans = Matrix(ring, n + k, n + k, tuple(
+        first_completion(c, n + k, comp.prime, comp.order, targets)
+        for c, comp in zip(tp.subspace.canons, ring.components)
+    ))
+    target = canonical_target(space, m, t)
+    assert is_in_gl_nk(trans, space)
+    assert Subspace.from_matrix(tp.subspace.display.mul(trans)) == target
+    return trans, target
+
+
+@pytest.mark.parametrize("spec,size", [("Z4", 4), ("Z6", 3), ("Z8", 3)])
+def test_transform_equals_the_first_route(spec, size):
+    """Every typed subspace of R^size, under every split size = n + k."""
+    ring = parse_ring(spec)
+    subs = [s for m in range(size + 1) for s in enumerate_subspaces(m, size, ring)]
+    seen = want = 0
+    for n in range(size + 1):
+        space = SingularSpace(ring, n, size - n)
+        for p in subs:
+            tp = type_of(p, space)
+            if tp.typed:
+                assert canonical_mt_transform(tp) == first_transform(tp)
+                seen += 1
+        want += sum(
+            count_mt_subspaces(m, t, n, size - n, ring)
+            for m in range(size + 1) for t in range(min(m, size - n) + 1)
+        )
+    assert seen == want
+
+
+def seeded_typed(rng, space, m, t):
+    """A random typed (m, t)-subspace: rows (Q | X) over (0 | S), Q and S of full rank."""
+    ring, n, k = space.ring, space.n, space.k
+    if not m:
+        return Subspace.zero(ring, n + k)
+    while True:
+        rows = [[rng.randrange(ring.order) for _ in range(n + k)] for _ in range(m - t)]
+        rows += [[0] * n + [rng.randrange(ring.order) for _ in range(k)] for _ in range(t)]
+        a = Matrix.from_entries(ring, rows)
+        q = a.submatrix(range(m - t), range(n))
+        s = a.submatrix(range(m - t, m), range(n, n + k))
+        if mccoy_rank(q) == m - t and mccoy_rank(s) == t:
+            return Subspace.from_matrix(a)
+
+
+def test_transform_equals_the_first_route_seeded():
+    """Seeded subspaces of Z720720^(6+2), a ring of six components."""
+    space = SingularSpace(parse_ring("Z720720"), 6, 2)
+    rng = random.Random(2026)
+    for m in range(9):
+        for t in range(max(0, m - 6), min(m, 2) + 1):
+            for _ in range(4):
+                tp = type_of(seeded_typed(rng, space, m, t), space)
+                assert tp.type == (m, t)
+                assert canonical_mt_transform(tp) == first_transform(tp)
+
+
+# The identity lies in the block group but leaves P where it is, so only the
+# second postcondition can catch it.
+MISSED = """
+from ringspace import Matrix, SingularSpace, Subspace, canonical_mt_transform, parse_ring
+from ringspace import type_of, zps
+zps.completion = lambda rows, ncols, *args: zps.identity(ncols)
+z4 = parse_ring("Z4")
+tp = type_of(Subspace.from_matrix(Matrix.from_entries(z4, [[1, 1, 0]])), SingularSpace(z4, 2, 1))
+canonical_mt_transform(tp)
+"""
+
+
+def test_transform_that_misses_the_target_is_an_internal_error(monkeypatch):
+    message = "the transform must carry P to the canonical subspace"
+    # recorded here, so the completion MISSED replaces is put back afterwards
+    monkeypatch.setattr(zps, "completion", zps.completion)
+    with pytest.raises(InternalError, match=f"^{message}$"):
+        exec(MISSED, {})
+    src = str(Path(ringspace.__file__).resolve().parent.parent)
+    r = subprocess.run(
+        [sys.executable, "-O", "-c", MISSED], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert r.returncode == 1
+    assert r.stderr.rstrip().endswith(f"InternalError: {message}")
 
 
 def block_diag(ring, a, b):

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ringspace.errors import NotFullRankError, NotInvertibleError
+from ringspace.errors import InternalError, NotFullRankError, NotInvertibleError
 from ringspace.zps import (
     completion,
     echelon_add_mod_p,
@@ -157,6 +157,31 @@ def test_rref_unit_rejects_dependent_rows():
         rref_unit([(1, 0), (1, 0)], 2, 2, 4)
     with pytest.raises(NotFullRankError):
         rref_unit([(2, 0)], 2, 2, 4)
+
+
+@pytest.mark.parametrize("pe", [4, 9, 64, 720720])
+def test_matmul_matches_entrywise_reference(pe):
+    """Every shape up to 4 x 4 times 4 x 4, including 0 rows and 0 columns.
+
+    An empty b (no rows) gives m empty rows: it carries no column count.
+    """
+    rng = random.Random(f"matmul {pe}")
+    for m, k, n in itertools.product(range(5), repeat=3):
+        a, b = random_rows(rng, m, k, pe), random_rows(rng, k, n, pe)
+        width = n if k else 0
+        want = tuple(
+            tuple(sum(a[i][l] * b[l][j] for l in range(k)) % pe for j in range(width))
+            for i in range(m)
+        )
+        assert matmul(a, b, pe) == want
+        assert matmul(tuple(map(tuple, a)), tuple(map(tuple, b)), pe) == want
+
+
+def test_matmul_inner_dimensions_must_agree():
+    with pytest.raises(InternalError, match="^inner dimensions of the product differ$"):
+        matmul([[1, 2]], [[1], [2], [3]], 4)
+    with pytest.raises(InternalError, match="^inner dimensions of the product differ$"):
+        matmul([[]], [[1]], 4)
 
 
 @pytest.mark.parametrize("p,s", [(2, 2), (3, 2)])

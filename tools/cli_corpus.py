@@ -5,15 +5,22 @@ code, stdout and stderr are hashed in order, into its section's sha256 and
 into one over everything.  Two trees that print the same digests give
 byte-identical output on the whole corpus.  Run from anywhere:
 
-    python tools/cli_corpus.py [--dump calls.jsonl]
+    python tools/cli_corpus.py [--dump calls.jsonl] [--check FILE]
 
 ``--dump`` also writes one JSON line per call, to find a call that differs.
+``--check FILE`` compares the digests with those in FILE, which holds this
+script's own output, and exits 1 naming each section whose digest differs.
+``tools/cli_corpus.sha256`` holds the current digests; after a change meant
+to alter the output, regenerate it with
+
+    python tools/cli_corpus.py > tools/cli_corpus.sha256
+
 The sections:
 
 - ``readme``: the README's command lines and the three ``verify`` suites;
 - ``singular``: ``singular enumerate -m -t`` for every type of Z4^4 under
   every split 4 = n + k, then ``singular canon`` on each subspace it lists
-  (the zero subspace has no rows to pass, so it is left out);
+  but the zero subspace, which ``tests/test_cli.py`` covers;
 - ``matrix``: ``matrix invert``, ``complete`` and ``right-inverse`` on every
   2x2 matrix over Z4 and Z6;
 - ``subspace``: ``subspace meet``, ``join`` and ``dimcheck`` on every ordered
@@ -168,11 +175,23 @@ SECTIONS = {
 }
 
 
-def main() -> None:
+def read_digests(path: Path) -> dict[str, str]:
+    """Section name -> digest, from lines as ``main`` prints them."""
+    return {line.split()[0]: line.split()[-1] for line in path.read_text().splitlines() if line.strip()}
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--dump", type=Path, help="write one JSON line per call")
+    parser.add_argument(
+        "--check", type=Path, metavar="FILE",
+        help="compare with the digests in FILE; exit 1 naming each section that differs",
+    )
     args = parser.parse_args()
+    # read before the working directory moves, as FILE may be a relative path
+    want = read_digests(args.check) if args.check else None
     dump = args.dump.resolve().open("w") if args.dump else None
+    digests = {}
     everything = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         # @file payloads are named relative to here, so messages hold no temp path
@@ -187,11 +206,19 @@ def main() -> None:
                 count += 1
                 if dump:
                     dump.write(record)
-            print(f"{name:<9} {count:>5} calls  {digest.hexdigest()}")
-    print(f"{'all':<9} {'':>5}        {everything.hexdigest()}")
+            digests[name] = digest.hexdigest()
+            print(f"{name:<9} {count:>5} calls  {digests[name]}")
+    digests["all"] = everything.hexdigest()
+    print(f"{'all':<9} {'':>5}        {digests['all']}")
     if dump:
         dump.close()
+    if want is None:
+        return 0
+    differ = [name for name in {**want, **digests} if want.get(name) != digests.get(name)]
+    for name in differ:
+        print(f"digest differs from {args.check}: {name}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
