@@ -102,55 +102,39 @@ def _cmd_ring_info(args):
     }, 0
 
 
-def _cmd_matrix_rank(args):
-    from . import matrix
+def _matrix_op(function: str, key: str):
+    """Handler of a matrix command: ``matrix.<function>`` of --matrix under ``key``.
 
-    return {"rank": matrix.mccoy_rank(_matrix(args))}, 0
+    The McCoy rank is an int; every other result is a matrix.
+    """
 
+    def handler(args):
+        from . import matrix
 
-def _cmd_matrix_complete(args):
-    from . import matrix
+        out = getattr(matrix, function)(_matrix(args))
+        return {key: out if isinstance(out, int) else serialize.matrix_to_json(out)}, 0
 
-    s = matrix.completion(_matrix(args))
-    return {"completion": serialize.matrix_to_json(s)}, 0
-
-
-def _cmd_matrix_invert(args):
-    from . import matrix
-
-    inv = matrix.gl_inverse(_matrix(args))
-    return {"inverse": serialize.matrix_to_json(inv)}, 0
-
-
-def _cmd_matrix_right_inverse(args):
-    from . import matrix
-
-    b = matrix.right_inverse(_matrix(args))
-    return {"right_inverse": serialize.matrix_to_json(b)}, 0
+    return handler
 
 
 def _cmd_subspace_canon(args):
     return serialize.subspace_to_json(_subspace(args, "matrix")), 0
 
 
-def _meet_or_join(args, operation: str):
-    """The meet or join of the --a and --b subspaces, as its JSON payload."""
-    from . import subspace
+def _meet_or_join(operation: str):
+    """Handler of ``subspace meet`` or ``join``: that module of --a and --b."""
 
-    l = getattr(subspace, operation)(*_pair(args))
-    out = serialize.linear_subset_to_json(l)
-    out["canonical"] = (
-        serialize.subspace_to_json(subspace.as_subspace(l)) if out["free"] else None
-    )
-    return out, 0
+    def handler(args):
+        from . import subspace
 
+        l = getattr(subspace, operation)(*_pair(args))
+        out = serialize.linear_subset_to_json(l)
+        out["canonical"] = (
+            serialize.subspace_to_json(subspace.as_subspace(l)) if out["free"] else None
+        )
+        return out, 0
 
-def _cmd_subspace_meet(args):
-    return _meet_or_join(args, "meet")
-
-
-def _cmd_subspace_join(args):
-    return _meet_or_join(args, "join")
+    return handler
 
 
 def _cmd_subspace_dual(args):
@@ -376,16 +360,19 @@ COMMANDS = {
         ("info", "components, order, units, |GL_2|", _cmd_ring_info, ()),
     ]),
     "matrix": ("matrix operations", [
-        ("rank", "McCoy rank", _cmd_matrix_rank, _MATRIX),
-        ("complete", "S with A*S = (I|0)", _cmd_matrix_complete, _MATRIX),
-        ("invert", "inverse of a square matrix", _cmd_matrix_invert, _MATRIX),
-        ("right-inverse", "B with A*B = I", _cmd_matrix_right_inverse, _MATRIX),
+        ("rank", "McCoy rank", _matrix_op("mccoy_rank", "rank"), _MATRIX),
+        ("complete", "S with A*S = (I|0)", _matrix_op("completion", "completion"), _MATRIX),
+        ("invert", "inverse of a square matrix", _matrix_op("gl_inverse", "inverse"), _MATRIX),
+        (
+            "right-inverse", "B with A*B = I",
+            _matrix_op("right_inverse", "right_inverse"), _MATRIX,
+        ),
     ]),
     "subspace": ("subspace operations", [
         ("canon", "canonical form of a free subspace", _cmd_subspace_canon, _ROWS),
         ("dual", "orthogonal dual subspace", _cmd_subspace_dual, _ROWS),
-        ("meet", "intersection (may not be free)", _cmd_subspace_meet, _PAIR),
-        ("join", "sum (may not be free)", _cmd_subspace_join, _PAIR),
+        ("meet", "intersection (may not be free)", _meet_or_join("meet"), _PAIR),
+        ("join", "sum (may not be free)", _meet_or_join("join"), _PAIR),
         ("dimcheck", "dimension formula status", _cmd_subspace_dimcheck, _PAIR),
     ]),
     "count": ("closed-form counts", [

@@ -108,46 +108,6 @@ class PointSet:
         return len(self.points)
 
 
-def _rows(points: Iterable[Subspace]) -> list[list[tuple[int, ...]]]:
-    """Each point's canonical row in every component."""
-    return [[canon[0] for canon in pt.canons] for pt in points]
-
-
-def _reduce(stack: Sequence[Sequence[tuple[int, ...]]], primes: Sequence[int]) -> tuple:
-    """A stack of points (as ``_rows``) reduced mod p once per component.
-
-    Gives one ``zps.echelon_add_mod_p`` basis per component, or None in a
-    component where the stack's rows are dependent.
-    """
-    reduced = []
-    for ci, p in enumerate(primes):
-        basis = ()
-        for rows in stack:
-            basis = zps.echelon_add_mod_p(basis, rows[ci], p)
-            if basis is None:
-                break
-        reduced.append(basis)
-    return tuple(reduced)
-
-
-def _keys(stack, later, primes: Sequence[int]) -> list[list] | None:
-    """Each later point's class key over the stack, per component.
-
-    The stack and the later points are as ``_rows``.  A key is the row that
-    ``zps.remainder_mod_p`` leaves for the point against the stack's basis,
-    or None when the point lies in the stack's span, so two points outside
-    the span share a key in a component exactly when the stack plus both is
-    dependent there.  None when the stack itself is dependent somewhere.
-    """
-    out = []
-    for ci, (basis, p) in enumerate(zip(_reduce(stack, primes), primes)):
-        if basis is None:
-            return None
-        added = [zps.remainder_mod_p(basis, rows[ci], p) for rows in later]
-        out.append([None if a is None else a[1] for a in added])
-    return out
-
-
 @dataclass(frozen=True, slots=True)
 class _Kind:
     """What tells arcs from caps; the algorithms below are shared."""
@@ -443,7 +403,6 @@ def _search(
     candidates: list[Subspace],
     k: int,
     ring: Ring,
-    n: int,
     budget: int,
 ) -> list[Subspace]:
     """Exhaustive depth-first search for a maximum admissible superset of base.
@@ -462,9 +421,10 @@ def _search(
     Points are indexed into one pool, base then candidates, so a bit's
     position is its canonical order, and a node's candidates are an int
     mask taken lowest bit first (Östergård 2002 keeps clique candidates the
-    same way).  For each S met, the pool points after it are split into
-    their class keys over S (module docstring), and each gets one conflict
-    row: the union over components of its class, kept for this one call.
+    same way).  For each S met, S is reduced and the pool points after it
+    are keyed over S by the two kernels ``_walk`` calls (module docstring),
+    and each point gets one conflict row: the union over components of its
+    class, kept for this one call.
     The child for x drops every candidate in x's row for some S.
 
     The search stops a node's loop as soon as ``current`` plus every
@@ -480,25 +440,33 @@ def _search(
     remaining S are not built for it.
     """
     pool = base + candidates
-    primes = [c.prime for c in ring.components]
-    rows = _rows(pool)
+    comps = [
+        ([pt.canons[ci][0] for pt in pool], c.prime)
+        for ci, c in enumerate(ring.components)
+    ]
 
     @functools.cache
     def through(s: tuple[int, ...]) -> list[int]:
         """Each pool point's conflict row over s: the union over components
         of its class mask, 0 for the points up to s.
 
-        s lies in ``current``, which is admissible, and the candidates are
-        admissible to it, so s is independent and no candidate lies in its
-        span: every key that reaches a candidate's row is a class key.
+        In each component s is reduced with ``zps.echelon_add_mod_p`` and
+        each later point keyed by ``zps.remainder_mod_p``, as ``_walk``
+        does.  s lies in ``current``, which is admissible, so it is
+        independent, and the candidates are admissible to it, so none lies
+        in its span: every key that reaches a candidate's row is a class key.
         """
         start = s[-1] + 1 if s else 0
         conf = [0] * len(pool)
-        for ckeys in _keys([rows[i] for i in s], rows[start:], primes):
-            classes: dict[tuple[int, ...], int] = {}
-            for i, key in enumerate(ckeys, start):
+        for rows, p in comps:
+            basis = ()
+            for i in s:
+                basis = zps.echelon_add_mod_p(basis, rows[i], p)
+            keys = [zps.remainder_mod_p(basis, row, p) for row in rows[start:]]
+            classes: dict[tuple | None, int] = {}
+            for i, key in enumerate(keys, start):
                 classes[key] = classes.get(key, 0) | 1 << i
-            for i, key in enumerate(ckeys, start):
+            for i, key in enumerate(keys, start):
                 conf[i] |= classes[key]
         return conf
 
@@ -545,7 +513,7 @@ def _search_max(
     n = base_set.ambient
     k = kind.size(n)
     candidates = _extensions(base_set, k, budget)
-    best = _search(list(base_set.points), candidates, k, ring, n, budget)
+    best = _search(list(base_set.points), candidates, k, ring, budget)
     return PointSet.of(ring, n, best)
 
 

@@ -21,7 +21,17 @@ from . import zps
 from .errors import InternalError, RingMismatchError, UntypedSubspaceError
 from .matrix import Matrix, mccoy_rank
 from .ring import Ring
-from .subspace import LinearSubset, Subspace
+from .subspace import LinearSubset, Subspace, meet
+
+
+def _coordinate(ring: Ring, ambient: int, columns: tuple[int, ...]) -> Subspace:
+    """The span of the identity rows of R^ambient at the increasing ``columns``.
+
+    Those rows are already canonical, with the columns as their pivots, in
+    every component; no columns give the zero subspace.
+    """
+    rows = tuple(tuple(1 if j == c else 0 for j in range(ambient)) for c in columns)
+    return Subspace(ring, ambient, len(columns), (rows,) * ring.ell, (columns,) * ring.ell)
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,19 +48,11 @@ class SingularSpace:
 
     @property
     def special(self) -> Subspace:
-        """The tail subspace E, built in canonical form.
+        """The tail subspace E: the coordinate subspace at columns n .. n+k-1.
 
-        Its rows are the identity rows at columns n .. n+k-1, which are
-        also its pivots, in every component; with k = 0 it is the zero
-        subspace of R^n.
+        With k = 0 it is the zero subspace of R^n.
         """
-        n, k = self.n, self.k
-        rows = tuple(
-            tuple(1 if j == n + i else 0 for j in range(n + k)) for i in range(k)
-        )
-        pivots = tuple(range(n, n + k))
-        ell = self.ring.ell
-        return Subspace(self.ring, n + k, k, (rows,) * ell, (pivots,) * ell)
+        return _coordinate(self.ring, self.ambient, tuple(range(self.n, self.ambient)))
 
 
 def is_in_gl_nk(t: Matrix, space: SingularSpace) -> bool:
@@ -70,7 +72,8 @@ class TypedSubspace:
     """An m-subspace of a singular space together with its tail type.
 
     Built by ``type_of``, which reads ``typed`` off P's pivots.  ``t`` and
-    ``tail_meet`` are computed on first use and kept.
+    ``tail_meet``, which is ``meet(P, E)``, are computed on first use and
+    kept.
     """
 
     subspace: Subspace
@@ -92,21 +95,8 @@ class TypedSubspace:
 
     @cached_property
     def tail_meet(self) -> LinearSubset:
-        """P meet E, read off one Howell form of P's canonical rows per component.
-
-        The elements of P that lie in E are those that vanish before column
-        n.  By the Howell property, the rows of P's Howell form with pivot at
-        column n or later generate exactly these, which are the rows whose
-        first n entries are zero.  They are echelon, reduced above their
-        pivots and normalised to powers of p, and they keep the property, so
-        by uniqueness they are already the Howell form of P meet E: the same
-        module ``meet(p, space.special)`` returns.
-        """
-        p, n = self.subspace, self.space.n
-        return LinearSubset(p.ring, p.ambient, tuple(
-            tuple(r for r in zps.howell(c, p.ambient, comp.prime, comp.exponent) if not any(r[:n]))
-            for c, comp in zip(p.canons, p.ring.components)
-        ))
+        """P meet E, from one Howell form per component (``meet``)."""
+        return meet(self.subspace, self.space.special)
 
     @property
     def type(self) -> tuple[int, int]:
@@ -136,7 +126,7 @@ def type_of(p: Subspace, space: SingularSpace) -> TypedSubspace:
     Over a product ring, P meet E is free of dimension t exactly when it is
     in every component.  So P is typed iff B_i = 0 in every component and
     every |T_i| is equal.  When every B_i = 0, t is min |T_i|, which is what
-    ``tail_meet.dim`` gives; only otherwise does ``t`` take the Howell form.
+    ``tail_meet.dim`` gives; only otherwise does ``t`` take the meet.
     """
     if p.ring != space.ring or p.ambient != space.ambient:
         raise RingMismatchError("subspaces of different spaces")
@@ -168,10 +158,10 @@ def canonical_mt_transform(
     column operation puts a head entry into a tail row of T, so T stays
     block upper triangular.
 
-    C is built from the identity rows at the targets, which are increasing,
-    so they are already its canonical form with the targets as pivots, in
-    every component.  The completion maps each of P's rows to one of them
-    exactly, so P * T is checked against C's rows entry for entry.
+    C is the coordinate subspace at the targets, which are increasing, so
+    its identity rows are already its canonical form in every component.
+    The completion maps each of P's rows to one of them exactly, so P * T
+    is checked against C's rows entry for entry.
     """
     if not tp.typed:
         raise UntypedSubspaceError("subspace has no (m, t) type")
@@ -183,13 +173,11 @@ def canonical_mt_transform(
         zps.completion(c, n + k, comp.prime, comp.order, targets)
         for c, comp in zip(tp.subspace.canons, ring.components)
     ))
-    rows = tuple(tuple(1 if j == c else 0 for j in range(n + k)) for c in targets)
-    ell = ring.ell
-    target = Subspace(ring, n + k, m, (rows,) * ell, (targets,) * ell)
+    target = _coordinate(ring, n + k, targets)
     if not is_in_gl_nk(trans, space):
         raise InternalError("the transform must lie in the block group")
     if any(
-        zps.matmul(c, tc, comp.order) != rows
+        zps.matmul(c, tc, comp.order) != target.canons[0]
         for c, tc, comp in zip(tp.subspace.canons, trans.comps, ring.components)
     ):
         raise InternalError("the transform must carry P to the canonical subspace")

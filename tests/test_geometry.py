@@ -473,6 +473,32 @@ def test_extensions_reduce_each_prefix_once(monkeypatch, z3, size):
         assert len(remainders) == size - 1 + size * (size - 1) // 2
 
 
+@pytest.mark.parametrize(
+    "kind, spec, n, added, remainders, spans",
+    [
+        ("cap", "Z3", 4, 26, 545, 3),
+        ("arc", "Z7", 4, 39, 954, 10),
+        ("arc", "Z6", 4, 18, 38, 20),
+        ("arc", "Z12", 3, 6, 18, 12),
+    ],
+)
+def test_benchmark_search_kernel_calls(monkeypatch, kind, spec, n, added, remainders, spans):
+    """The benchmark's four searches make exactly these kernel calls, from
+    the candidates' extension query and the search's conflict rows; the
+    remainder_mod_p calls include those that echelon_add_mod_p makes."""
+    ring = parse_ring(spec)
+    calls = {
+        name: _counting(monkeypatch, name)
+        for name in ("echelon_add_mod_p", "remainder_mod_p", "span_points_mod_p")
+    }
+    getattr(geometry, f"search_max_{kind}")(n, ring)
+    assert {name: len(c) for name, c in calls.items()} == {
+        "echelon_add_mod_p": added,
+        "remainder_mod_p": remainders,
+        "span_points_mod_p": spans,
+    }
+
+
 def test_complete_covers_spans_on_both_routes(monkeypatch, z3):
     """is_complete_cap covers every secant once, and the direct and the
     residue-field projection routes read the same blocked points: C(N,2)
@@ -695,10 +721,10 @@ class TestSearch:
         bounded, pruned = _full_check_search(base, candidates, k, ring, n, True)
         assert [p.canons for p in bounded] == [p.canons for p in want]
         assert pruned <= nodes
-        got = geometry._search(base, candidates, k, ring, n, pruned)
+        got = geometry._search(base, candidates, k, ring, pruned)
         assert [p.canons for p in got] == [p.canons for p in want]
         with pytest.raises(BudgetExceededError):
-            geometry._search(base, candidates, k, ring, n, pruned - 1)
+            geometry._search(base, candidates, k, ring, pruned - 1)
 
     def test_benchmark_search_raise_points(self, z3):
         """The benchmark's two costly searches spend exactly these nodes.
@@ -713,10 +739,10 @@ class TestSearch:
         base_set = PointSet.from_rows(z7, [*zps.identity(4), (1,) * 4])
         base = list(base_set.points)
         candidates = extend_arc(base_set)
-        got = geometry._search(base, candidates, 4, z7, 4, 60)
+        got = geometry._search(base, candidates, 4, z7, 60)
         assert got == list(search_max_arc(4, z7).points)
         with pytest.raises(BudgetExceededError, match="^search budget"):
-            geometry._search(base, candidates, 4, z7, 4, 59)
+            geometry._search(base, candidates, 4, z7, 59)
         with pytest.raises(BudgetExceededError, match="^enumeration budget"):
             search_max_arc(4, z7, budget=60)
 

@@ -159,7 +159,7 @@ def test_type_of_takes_no_howell_form(monkeypatch, z4, z12):
     assert not tp.typed and calls == []
     assert tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
     assert len(calls) == z12.ell == 2
-    assert all(len(rows) == 2 and ncols == 4 for rows, ncols, *_ in calls)
+    assert all(len(rows) == 4 and ncols == 8 for rows, ncols, *_ in calls)
     assert tp.t == 0 and tp.tail_meet.howells == ((), ((0, 0, 1, 2),))
     assert len(calls) == 2
     # (2, 1) meets E in 2 * E, so t falls back to the meet, built once

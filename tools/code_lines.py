@@ -1,8 +1,9 @@
 """Print the size of the library: its code lines and its public names.
 
 Code lines are the lines of ``src/ringspace/*.py`` that hold a token other
-than a comment or a docstring.  Public names are ``ringspace.__all__``.
-Run from anywhere:
+than a comment or a docstring.  One line per module gives its code lines,
+so a change in size shows where it landed; the total and the count of
+public names (``ringspace.__all__``) follow.  Run from anywhere:
 
     python tools/code_lines.py
 """
@@ -47,11 +48,13 @@ def code_lines(text: str) -> int:
 
 def main() -> None:
     src = Path(__file__).resolve().parent.parent / "src"
-    total = sum(code_lines(path.read_text()) for path in (src / "ringspace").glob("*.py"))
+    sizes = {p.name: code_lines(p.read_text()) for p in sorted((src / "ringspace").glob("*.py"))}
     sys.path.insert(0, str(src))
     import ringspace
 
-    print(f"code lines: {total}")
+    for name, size in sizes.items():
+        print(f"{name:<16}{size:>5}")
+    print(f"code lines: {sum(sizes.values())}")
     print(f"public names: {len(ringspace.__all__)}")
 
 
