@@ -39,12 +39,13 @@ builds a point.  Directly, no point extends the set exactly when the kept
 points' product is empty, that is when some component has no canonical row
 over Z_{p^s} whose residue key is unblocked; that scan reads the rows
 ``shapes`` allows.  Via the residue-field projections, the set is complete
-iff at least one component projection is complete over its field, that is
-when its blocked keys, each a normalised point of PG(n-1, p), number all
-(p^n - 1)/(p - 1) of them.  A projection has the same residue rows as the
-set, so both routes read the one set of blocked keys; what they check
-against each other is a scan of canonical ring rows against a count of
-field points.
+iff at least one component projection is complete over its field.  A
+projection holds the set's residue rows, so it blocks the same keys as the
+set does in that component, and it is complete when those keys, each a
+normalised point of PG(n-1, p), number all (p^n - 1)/(p - 1) of them; so
+this route counts the keys and builds no projection
+(``project_point_set``).  What the two routes check against each other is
+a scan of canonical ring rows against a count of field points.
 
 Maximum sizes come from a fixed lookup table of known field and ring
 values; configurations outside the table report None (unknown) rather than
@@ -273,12 +274,6 @@ def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     return _extensions(ps, 3, budget, _CAP.reject)
 
 
-def _residues(ps: PointSet, i: int) -> set[tuple[int, ...]]:
-    """The set's rows mod p in component i, all that its cover there reads."""
-    p = ps.ring.components[i].prime
-    return {tuple([x % p for x in pt.canons[i][0]]) for pt in ps.points}
-
-
 def _covered(n: int, comp: LocalRing, keys: set[tuple[int, ...]]) -> bool:
     """Every canonical row of Z_{p^s}^n has its residue key in ``keys``.
 
@@ -297,24 +292,18 @@ def _covered(n: int, comp: LocalRing, keys: set[tuple[int, ...]]) -> bool:
 def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
     """Whether no point extends the set, by two routes that must agree.
 
-    Both read the keys of one ``_blocked`` call and build no point; the
-    cross-check compares a scan of canonical ring rows (``_covered``) with a
-    count of field points (module docstring).
+    Both read the keys of one ``_blocked`` call and build no point, no
+    projection included; the cross-check compares a scan of canonical ring
+    rows (``_covered``) with a count of field points (module docstring).
     """
     kind.check_ambient(ps.ambient)
     n = ps.ambient
     blocked = _blocked(ps, kind.size(n), budget, kind.reject)
     comps = ps.ring.components
     direct = any(_covered(n, c, keys) for c, keys in zip(comps, blocked))
-    by_projection = False
-    for i, (c, keys) in enumerate(zip(comps, blocked)):
-        proj = project_point_set(ps, i)
-        # a projection holds the set's residue rows, so it blocks the same keys
-        if _residues(proj, 0) != _residues(ps, i):
-            raise InternalError("completeness criteria disagree; this is a bug")
-        if len(keys) == (c.prime**n - 1) // (c.prime - 1):
-            by_projection = True
-            break
+    by_projection = any(
+        len(keys) == (c.prime**n - 1) // (c.prime - 1) for c, keys in zip(comps, blocked)
+    )
     if direct != by_projection:
         raise InternalError("completeness criteria disagree; this is a bug")
     return direct
@@ -323,9 +312,10 @@ def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
 def is_complete_arc(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
     """No point extends the arc.
 
-    Computed both directly and through the component projections (complete
-    iff some residue-field image is complete); the two answers are required
-    to agree.
+    Computed both directly, by scanning the canonical rows, and through the
+    component projections (complete iff some residue-field image is
+    complete), by counting each component's blocked keys; the two answers
+    are required to agree.
     """
     return _is_complete(ps, _ARC, budget)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import zps
-from .errors import InternalError, RingMismatchError, RingParseError, ShapeMismatchError
+from .errors import NotFullRankError, RingMismatchError, RingParseError, ShapeMismatchError
 from .ring import Element, Ring
 
 Rows = tuple[tuple[int, ...], ...]
@@ -134,15 +134,10 @@ def is_unimodular_rows(a: Matrix) -> bool:
 
 def completion(a: Matrix) -> Matrix:
     """Invertible S with A*S = (I | 0), for A with unimodular rows."""
-    return _completion(a, inverse=False)
-
-
-def _completion(a: Matrix, inverse: bool) -> Matrix:
-    """S with A*S = (I | 0), or S^-1 with ``inverse``, per component."""
     if a.rows > a.cols:
         raise ShapeMismatchError("more rows than columns")
     comps = tuple(
-        zps.completion(c, a.cols, comp.prime, comp.order, inverse=inverse)
+        zps.completion(c, a.cols, comp.prime, comp.order)
         for c, comp in zip(a.comps, a.ring.components)
     )
     return Matrix(a.ring, a.cols, a.cols, comps)
@@ -168,12 +163,21 @@ def gl_inverse(a: Matrix) -> Matrix:
 def extend_to_basis(a: Matrix) -> Matrix:
     """Extend unimodular rows to an invertible n x n matrix.
 
-    The result is S^-1 for the completion S of A, whose first m rows equal A
-    exactly, as A = (I | 0) * S^-1.  It is built in the completion's own
-    column reduction, by the inverse row operations (``zps.completion``
-    with ``inverse``), so no second reduction inverts S.
+    In each component the result is A's rows, then the identity rows at the
+    columns where A's residue rows, in echelon form, have no pivot.  Those n
+    rows are independent mod p, so the matrix is invertible.  A row of A in
+    the span of the rows before it mod p raises NotFullRankError.
     """
-    ext = _completion(a, inverse=True)
-    if not all(e[: a.rows] == c for e, c in zip(ext.comps, a.comps)):
-        raise InternalError("the extended basis must start with the input rows")
-    return ext
+    if a.rows > a.cols:
+        raise ShapeMismatchError("more rows than columns")
+    eye = zps.identity(a.cols)
+    comps = []
+    for rows, comp in zip(a.comps, a.ring.components):
+        basis = ()
+        for row in rows:
+            basis = zps.echelon_add_mod_p(basis, row, comp.prime)
+            if basis is None:
+                raise NotFullRankError("rows do not have full McCoy rank")
+        pivots = {col for col, _ in basis}
+        comps.append(rows + tuple(e for j, e in enumerate(eye) if j not in pivots))
+    return Matrix(a.ring, a.cols, a.cols, tuple(comps))

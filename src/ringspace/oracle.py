@@ -28,7 +28,7 @@ from .counting import (
     count_subspaces_in,
     count_subspaces_over,
 )
-from .errors import DEFAULT_BUDGET, BudgetExceededError, charge, charge_power
+from .errors import DEFAULT_BUDGET, BudgetExceededError, NotFullRankError, charge, charge_power
 from .matrix import Matrix, completion, extend_to_basis, mccoy_rank, right_inverse
 from .ring import Element, Ring, parse_ring
 from .subspace import (
@@ -66,22 +66,23 @@ def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[S
 
 
 def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:
-    """Join with a point when the result is free of one higher dimension."""
-    ring = sub.ring
-    n = sub.ambient
-    reduced = []
-    for canon, piv, ptc, comp in zip(sub.canons, sub.pivots, pt.canons, ring.components):
-        red = zps.reduce_against(ptc[0], canon, piv, comp.order)
-        if not any(x % comp.prime for x in red):
-            return None  # residue rank would not grow in this component
-        reduced.append(red)
-    canons = []
-    pivots = []
-    for canon, red, comp in zip(sub.canons, reduced, ring.components):
-        rows, piv = zps.rref_unit(canon + (tuple(red),), n, comp.prime, comp.order)
+    """Join with a point when the result is free of one higher dimension.
+
+    In each component the subspace's canonical rows and the point's row are
+    reduced together, once, by ``zps.rref_unit``.  When the stack loses
+    residue rank there (the point lies in the span mod p, or the subspace
+    is already all of R^n) that raises NotFullRankError, and the answer is
+    None.
+    """
+    canons, pivots = [], []
+    for canon, ptc, comp in zip(sub.canons, pt.canons, sub.ring.components):
+        try:
+            rows, piv = zps.rref_unit(canon + ptc, sub.ambient, comp.prime, comp.order)
+        except NotFullRankError:
+            return None
         canons.append(rows)
         pivots.append(piv)
-    return Subspace(ring, n, sub.dim + 1, tuple(canons), tuple(pivots))
+    return Subspace(sub.ring, sub.ambient, sub.dim + 1, tuple(canons), tuple(pivots))
 
 
 def enumerate_subspaces(

@@ -138,10 +138,6 @@ class Ring:
         """Image of an integer under the canonical map Z -> R."""
         return Element(self, tuple(value % c.order for c in self.components))
 
-    @property
-    def zero(self) -> "Element":
-        return Element(self, (0,) * self.ell)
-
     def elements(self) -> Iterator["Element"]:
         """All |R| elements, in lexicographic residue order."""
         for parts in itertools.product(*(range(c.order) for c in self.components)):

@@ -281,29 +281,22 @@ def left_kernel(rows, ncols: int, p: int, s: int) -> tuple[tuple[int, ...], ...]
 
 
 def completion(
-    rows, ncols: int, p: int, pe: int, targets=None, *, inverse: bool = False
+    rows, ncols: int, p: int, pe: int, targets=None
 ) -> tuple[tuple[int, ...], ...]:
-    """Invertible S with rows * S = the identity rows at ``targets``, or S^-1.
+    """Invertible S with rows * S = the identity rows at ``targets``.
 
     Row r goes to the identity row with its 1 in column targets[r]; the
     default ``range(m)`` gives rows * S = (I | 0).  Column reduction: for
     each row pick the leftmost unit entry from its target on, swap it into
     place, scale the column, then clear the rest of the row.  Targets must
     increase, so no swap moves an earlier row's 1; a row with no unit from
-    its target on raises NotFullRankError.
-
-    The accumulator starts as the identity.  By default the same column
-    operations act on it, which builds S.  With ``inverse`` each one's
-    inverse acts on it from the left instead, which builds S^-1 in the same
-    pass: a column swap becomes the same row swap, scaling column r by
-    u^-1 becomes scaling row r by the old pivot u, and ``col c -= f*col r``
-    becomes ``row r += f*row c``.  Since rows * S = (I | 0) at the default
-    targets, the first m rows of S^-1 are the input rows.
+    its target on raises NotFullRankError.  The same column operations act
+    on an accumulator that starts as the identity, which builds S.
     """
     a = [list(r) for r in rows]
     acc = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     # the rows whose columns the column operations act on
-    by_cols = a if inverse else a + acc
+    by_cols = a + acc
     for row, r in zip(a, range(len(a)) if targets is None else targets):
         piv = None
         for j in range(r, ncols):
@@ -315,26 +308,15 @@ def completion(
         if piv != r:
             for rw in by_cols:
                 rw[r], rw[piv] = rw[piv], rw[r]
-            if inverse:
-                acc[r], acc[piv] = acc[piv], acc[r]
-        u = row[r]
-        inv = pow(u, -1, pe)
+        inv = pow(row[r], -1, pe)
         if inv != 1:
             for rw in by_cols:
                 rw[r] = rw[r] * inv % pe
-            if inverse:
-                acc[r] = [x * u % pe for x in acc[r]]
         # clearing one column changes no other entry of row, as row[r] is 1
-        clears = [(c, f) for c, f in enumerate(row) if f and c != r]
-        for c, f in clears:
+        for c, f in [(c, f) for c, f in enumerate(row) if f and c != r]:
             for rw in by_cols:
                 if rw[r]:
                     rw[c] = (rw[c] - f * rw[r]) % pe
-        if inverse and clears:
-            # the row additions change row r only, so they add up in one pass
-            fs = [1] + [f for _, f in clears]
-            summands = [acc[r]] + [acc[c] for c, _ in clears]
-            acc[r] = [sum(map(mul, fs, col)) % pe for col in zip(*summands)]
     return tuple(tuple(rw) for rw in acc)
 
 

@@ -654,9 +654,8 @@ class TestContract:
         """A broken invariant exits 4 with one stderr line, not a traceback."""
         from ringspace import geometry
 
-        full = geometry.PointSet.from_rows(parse_ring("Z2"), [[1, 0], [0, 1], [1, 1]])
-        # the projection route now calls every arc complete
-        monkeypatch.setattr(geometry, "project_point_set", lambda ps, i: full)
+        # the direct route now calls every arc complete
+        monkeypatch.setattr(geometry, "_covered", lambda n, comp, keys: True)
         argv = ["arc", "complete", "--ring", "Z2", "--points", "[[1,0],[0,1]]"]
         assert run(capsys, argv) == (
             4, "", "internal error: completeness criteria disagree; this is a bug\n"

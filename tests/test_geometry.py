@@ -519,8 +519,9 @@ def _greedy(ring, n, extend, rng):
 
 def test_completeness_builds_no_point(monkeypatch, z3, z6, z12):
     """Both completeness routes answer from the blocked keys: with every
-    point builder replaced by one that raises, is_complete_* still answer,
-    and extend_cap, which lists its points, raises."""
+    point builder and the projection replaced by ones that raise,
+    is_complete_* still answer, and extend_cap, which lists its points,
+    raises."""
     rng = random.Random("no points")
     z2xz3 = parse_ring("Z2xZ3")
     cases = [(is_complete_cap, search_max_cap(4, z3), True)]
@@ -536,6 +537,7 @@ def test_completeness_builds_no_point(monkeypatch, z3, z6, z12):
 
     monkeypatch.setattr(geometry, "points", build)
     monkeypatch.setattr(subspace, "subspaces", build)
+    monkeypatch.setattr(geometry, "project_point_set", build)
     for query, ps, want in cases:
         assert query(ps) is want
     with pytest.raises(AssertionError, match="a point was built"):

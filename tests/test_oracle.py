@@ -212,14 +212,24 @@ class TestSubspaceEnumeration:
             with pytest.raises(BudgetExceededError, match="^enumeration budget"):
                 enumerate_subspaces(m, n, ring)
 
-    def test_extension_step(self, z4):
-        line = enumerate_subspaces(1, 2, z4)[0]
-        for pt in enumerate_points(2, z4):
-            ext = extend_subspace(line, pt)
-            if ext is not None:
-                assert ext.dim == 2
-                assert ext.contains(line)
-                assert ext.contains(pt)
+    def test_extension_step(self):
+        """Every subspace of every dimension, the full one included, against
+        every point: None exactly when the stacked rows lose residue rank in
+        some component, else a subspace one larger that holds both."""
+        for spec, n in [("Z4", 2), ("Z6", 3), ("Z2xZ4", 2)]:
+            ring = parse_ring(spec)
+            subs = [s for m in range(n + 1) for s in enumerate_subspaces(m, n, ring)]
+            for sub, pt in itertools.product(subs, enumerate_points(n, ring)):
+                ext = extend_subspace(sub, pt)
+                free = all(
+                    zps.rank_mod_p(canon + ptc, n, c.prime) == sub.dim + 1
+                    for canon, ptc, c in zip(sub.canons, pt.canons, ring.components)
+                )
+                assert (ext is not None) == free
+                if ext is not None:
+                    assert ext.dim == sub.dim + 1
+                    assert ext.contains(sub)
+                    assert ext.contains(pt)
 
     def test_extension_rejects_contained_point(self, z4):
         line = enumerate_subspaces(1, 2, z4)[0]

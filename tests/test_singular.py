@@ -26,7 +26,7 @@ from ringspace import (
     count_subspaces,
     enumerate_mt_subspaces,
     enumerate_subspaces,
-    extend_to_basis,
+    gl_inverse,
     is_in_gl_nk,
     mccoy_rank,
     meet,
@@ -397,7 +397,9 @@ def old_canonical_mt_transform(tp):
         for rows, piv in zip(f.comps, tp.subspace.pivots)
     ))
     assert coeff.mul(a).comps == f.comps
-    g = extend_to_basis(coeff).submatrix(list(range(t, m)) + list(range(t)), range(m))
+    # the basis extension as it was built then: the inverse of the completion
+    ext = gl_inverse(completion(coeff))
+    g = ext.submatrix(list(range(t, m)) + list(range(t)), range(m))
     top = g.mul(a).submatrix(range(m - t), range(n + k))
     return block_and_shear(space, top, f), canonical_target(space, m, t)
 

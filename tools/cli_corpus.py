@@ -23,6 +23,9 @@ The sections:
   but the zero subspace, which ``tests/test_cli.py`` covers;
 - ``matrix``: ``matrix invert``, ``complete`` and ``right-inverse`` on every
   2x2 matrix over Z4 and Z6;
+- ``transforms``: ``matrix complete`` and ``right-inverse`` on every 1x3 and
+  2x3 matrix over Z4 and every 1x3 matrix over Z6 and Z2xZ2, the
+  non-square column reductions;
 - ``subspace``: ``subspace meet``, ``join`` and ``dimcheck`` on every ordered
   pair of subspaces of Z4^2, as ``singular enumerate -k 0`` lists them;
 - ``refusals``: payloads that are refused, and matrices without full rank;
@@ -125,6 +128,17 @@ def matrix_calls():
                 yield ["matrix", command, "--ring", ring, "--matrix", f"[[{a},{b}],[{c},{d}]]"]
 
 
+def transforms_calls():
+    for ring, elements, rows in [
+        ("Z4", range(4), 1), ("Z4", range(4), 2), ("Z6", range(6), 1),
+        ("Z2xZ2", [[x, y] for x in range(2) for y in range(2)], 1),
+    ]:
+        for entries in itertools.product(elements, repeat=3 * rows):
+            matrix = json.dumps([list(entries[i : i + 3]) for i in range(0, 3 * rows, 3)])
+            for command in ("complete", "right-inverse"):
+                yield ["matrix", command, "--ring", ring, "--matrix", matrix]
+
+
 def subspace_calls():
     subspaces = []
     for m in range(3):
@@ -172,6 +186,7 @@ SECTIONS = {
     "subspace": subspace_calls,
     "refusals": lambda: iter(REFUSALS),
     "geometry": geometry_calls,
+    "transforms": transforms_calls,
 }
 
 
