@@ -5,15 +5,17 @@ span R^n (every size-n stack of representatives has full McCoy rank), and a
 cap (n >= 3) when every 3 of them span a free 3-subspace.  Sets smaller
 than the defining size are accepted when they are in general position.
 
-Every query reduces each stack of points once per component with
-``zps.echelon_add_mod_p``.  Let k be n for arcs and 3 for caps.  The
-membership test and the search ask whether S + (x, c) is independent mod p
-for a (k-2)-subset S: reduced against S by ``zps.remainder_mod_p``, a
-point leaves a class key (the remainder, scaled to 1 at its first nonzero
-entry) or none (it lies in the span of S), and S + (x, c) is dependent
-exactly when x or c has no key or both have the same one.  The classes are
-the flats one dimension above span(S): the lines through a point for caps,
-the hyperplanes through an (n-2)-set for arcs.
+Every query reduces each stack of points once per component: the walk
+below grows shared prefixes with ``zps.echelon_add_mod_p``, and the search
+reduces a whole stack with ``zps.echelon_mod_p``.  Let k be n for arcs and
+3 for caps.  The membership test and the search ask whether S + (x, c) is
+independent mod p for a (k-2)-subset S: reduced against S by
+``zps.remainder_mod_p``, a point leaves a class key (the remainder, scaled
+to 1 at its first nonzero entry) or none (it lies in the span of S), and
+S + (x, c) is dependent exactly when x or c has no key or both have the
+same one.  The classes are the flats one dimension above span(S): the
+lines through a point for caps, the hyperplanes through an (n-2)-set for
+arcs.
 
 The extension and completeness queries cover spans instead of testing
 points: a point c extends a set exactly when, in every component, c mod p
@@ -24,15 +26,15 @@ takes the (k-2)-subsets S in combination order, so each prefix is reduced
 once and shared by the subsets that start with it, and it reduces each
 point after S against S once.  The keys decide membership, and S's basis
 plus a point's remainder is the basis of that (k-1)-subset, whose span
-points are built once and marked blocked.  The budget is charged before
-any basis is kept, and a query it refuses is walked for membership only.  A
-point is kept when its residue key is blocked in no component, so the kept
-points are a product over components, and the extension queries build only
-them (the covering view of complete caps in Hirschfeld, *Projective
-Geometries over Finite Fields*, 1998).  The residue of a canonical row
-needs no reduction to serve as a key: only non-units lie left of its unit
-pivot 1, so mod p it is already 1 at its first nonzero entry, which is how
-the span points are normalised too.
+points the walk builds there, once, as the component's blocked keys.  The
+budget is charged before any span is built, and a query it refuses is
+walked for membership only.  A point is kept when its residue key is
+blocked in no component, so the kept points are a product over components,
+and the extension queries build only them (the covering view of complete
+caps in Hirschfeld, *Projective Geometries over Finite Fields*, 1998).  The
+residue of a canonical row needs no reduction to serve as a key: only
+non-units lie left of its unit pivot 1, so mod p it is already 1 at its
+first nonzero entry, which is how the span points are normalised too.
 
 Completeness is computed along two routes and cross-checked, and neither
 builds a point.  Directly, no point extends the set exactly when the kept
@@ -136,9 +138,9 @@ _ARC = _Kind("arc", "an", 2, None, NotAnArcError)
 _CAP = _Kind("cap", "a", 3, 3, NotACapError)
 
 
-def _walk(ps: PointSet, k: int, keep: bool) -> list[list[tuple]] | None:
-    """The mod-p basis of every (k-1)-subset of the set, per component, or
-    None when the set is not in general position.
+def _walk(ps: PointSet, k: int, keep: bool) -> list[set[tuple[int, ...]]] | None:
+    """Each component's span keys of every (k-1)-subset of the set, or None
+    when the set is not in general position.
 
     A set with fewer than k points stands for its one subset of them all.
     In each component the (k-2)-subsets S with a point after them are
@@ -148,14 +150,15 @@ def _walk(ps: PointSet, k: int, keep: bool) -> list[list[tuple]] | None:
     the remainder an earlier point left, makes a k-subset through S
     dependent (module docstring), so every k-subset is checked, from its
     first k-2 points.  Otherwise S's basis plus the remainder is the basis
-    of that (k-1)-subset, kept when ``keep`` is set; the lists are empty
-    otherwise.
+    of that (k-1)-subset, and when ``keep`` is set its points from
+    ``zps.span_points_mod_p`` join the component's keys; the sets are empty
+    otherwise, and no span is built.
     """
     out = []
     for ci, comp in enumerate(ps.ring.components):
         p = comp.prime
         rows = [pt.canons[ci][0] for pt in ps.points]
-        bases: list[tuple] = []
+        keys: set[tuple[int, ...]] = set()
 
         def walk(basis, start: int, left: int) -> bool:
             if left:
@@ -171,12 +174,12 @@ def _walk(ps: PointSet, k: int, keep: bool) -> list[list[tuple]] | None:
                     return False
                 seen.add(added[1])
                 if keep:
-                    bases.append(basis + (added,))
+                    keys.update(zps.span_points_mod_p(basis + (added,), p))
             return True
 
         if rows and not walk((), 0, min(k - 2, len(rows) - 1)):
             return None
-        out.append(bases)
+        out.append(keys)
     return out
 
 
@@ -221,10 +224,11 @@ def _blocked(
 ) -> list[set[tuple[int, ...]]]:
     """Each component's span points of every (k-1)-subset of the set.
 
-    ``reject`` raises when the set is not admissible.  The budget is charged
-    |R|^n, as for listing every point, before ``_walk`` keeps any basis: a
-    refused set is walked for admission only, so it still raises
-    ``reject``'s error first when it is not admissible.
+    They are the keys ``_walk`` builds when it keeps them.  ``reject``
+    raises when the set is not admissible.  The budget is charged |R|^n, as
+    for listing every point, before ``_walk`` builds any span: a refused set
+    is walked for admission only, so it still raises ``reject``'s error
+    first when it is not admissible.
     """
     try:
         charge_power(ps.ring.order, ps.ambient, budget)
@@ -232,13 +236,10 @@ def _blocked(
         if _walk(ps, k, False) is None:
             reject()
         raise
-    stacks = _walk(ps, k, True)
-    if stacks is None:
+    blocked = _walk(ps, k, True)
+    if blocked is None:
         reject()
-    return [
-        {key for basis in bases for key in zps.span_points_mod_p(basis, c.prime)}
-        for bases, c in zip(stacks, ps.ring.components)
-    ]
+    return blocked
 
 
 def _extensions(
@@ -440,18 +441,17 @@ def _search(
         """Each pool point's conflict row over s: the union over components
         of its class mask, 0 for the points up to s.
 
-        In each component s is reduced with ``zps.echelon_add_mod_p`` and
-        each later point keyed by ``zps.remainder_mod_p``, as ``_walk``
-        does.  s lies in ``current``, which is admissible, so it is
-        independent, and the candidates are admissible to it, so none lies
-        in its span: every key that reaches a candidate's row is a class key.
+        In each component s's rows are reduced once, to the basis
+        ``zps.echelon_mod_p`` gives, and each later point is keyed against
+        it by ``zps.remainder_mod_p``, as ``_walk`` keys its points.  s lies
+        in ``current``, which is admissible, so it is independent, and the
+        candidates are admissible to it, so none lies in its span: every key
+        that reaches a candidate's row is a class key.
         """
         start = s[-1] + 1 if s else 0
         conf = [0] * len(pool)
         for rows, p in comps:
-            basis = ()
-            for i in s:
-                basis = zps.echelon_add_mod_p(basis, rows[i], p)
+            basis = zps.echelon_mod_p([rows[i] for i in s], p)[1]
             keys = [zps.remainder_mod_p(basis, row, p) for row in rows[start:]]
             classes: dict[tuple | None, int] = {}
             for i, key in enumerate(keys, start):

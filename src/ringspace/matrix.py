@@ -164,20 +164,19 @@ def extend_to_basis(a: Matrix) -> Matrix:
     """Extend unimodular rows to an invertible n x n matrix.
 
     In each component the result is A's rows, then the identity rows at the
-    columns where A's residue rows, in echelon form, have no pivot.  Those n
-    rows are independent mod p, so the matrix is invertible.  A row of A in
-    the span of the rows before it mod p raises NotFullRankError.
+    columns where the mod-p echelon basis of A's rows (``zps.echelon_mod_p``)
+    has no pivot.  Those n rows are independent mod p, so the matrix is
+    invertible.  When a row of A lies in the span of the rows before it mod
+    p, fewer rows are kept than given, and that raises NotFullRankError.
     """
     if a.rows > a.cols:
         raise ShapeMismatchError("more rows than columns")
     eye = zps.identity(a.cols)
     comps = []
     for rows, comp in zip(a.comps, a.ring.components):
-        basis = ()
-        for row in rows:
-            basis = zps.echelon_add_mod_p(basis, row, comp.prime)
-            if basis is None:
-                raise NotFullRankError("rows do not have full McCoy rank")
+        kept, basis = zps.echelon_mod_p(rows, comp.prime)
+        if len(kept) < len(rows):
+            raise NotFullRankError("rows do not have full McCoy rank")
         pivots = {col for col, _ in basis}
         comps.append(rows + tuple(e for j, e in enumerate(eye) if j not in pivots))
     return Matrix(a.ring, a.cols, a.cols, tuple(comps))

@@ -68,21 +68,19 @@ def enumerate_points(n: int, ring: Ring, budget: int = DEFAULT_BUDGET) -> list[S
 def extend_subspace(sub: Subspace, pt: Subspace) -> Subspace | None:
     """Join with a point when the result is free of one higher dimension.
 
-    In each component the subspace's canonical rows and the point's row are
-    reduced together, once, by ``zps.rref_unit``.  When the stack loses
-    residue rank there (the point lies in the span mod p, or the subspace
-    is already all of R^n) that raises NotFullRankError, and the answer is
-    None.
+    The answer is None when the subspace is already all of R^n.  Otherwise
+    it is ``Subspace.from_matrix`` of the subspace's canonical rows with the
+    point's row below them, which reduces each component's stack once, or
+    None when that raises NotFullRankError (the point lies in the span mod
+    p in some component).
     """
-    canons, pivots = [], []
-    for canon, ptc, comp in zip(sub.canons, pt.canons, sub.ring.components):
-        try:
-            rows, piv = zps.rref_unit(canon + ptc, sub.ambient, comp.prime, comp.order)
-        except NotFullRankError:
-            return None
-        canons.append(rows)
-        pivots.append(piv)
-    return Subspace(sub.ring, sub.ambient, sub.dim + 1, tuple(canons), tuple(pivots))
+    if sub.dim == sub.ambient:
+        return None
+    comps = tuple(canon + ptc for canon, ptc in zip(sub.canons, pt.canons))
+    try:
+        return Subspace.from_matrix(Matrix(sub.ring, sub.dim + 1, sub.ambient, comps))
+    except NotFullRankError:
+        return None
 
 
 def enumerate_subspaces(

@@ -297,29 +297,18 @@ def _join_meet(a: Subspace, b: Subspace) -> tuple[LinearSubset, LinearSubset]:
 def as_subspace(l: LinearSubset) -> Subspace:
     """Promote a module to a Subspace, or raise NotASubspaceError.
 
-    Needs ``l.is_free``; the basis is read off by picking Howell rows with
-    independent residues.  A free module has the same residue rank in every
-    component, so every component yields the same number of rows.
+    Needs ``l.is_free``; the basis is the Howell rows that
+    ``zps.echelon_mod_p`` keeps, those independent mod p of the rows before
+    them.  A free module has the same residue rank in every component, so
+    every component keeps the same number of rows.
     """
     if not l.is_free:
         raise NotASubspaceError("module is not free with unimodular basis")
     picks = tuple(
-        _residue_independent_rows(h, comp.prime)
+        zps.echelon_mod_p(h, comp.prime)[0]
         for h, comp in zip(l.howells, l.ring.components)
     )
     return Subspace.from_matrix(Matrix(l.ring, len(picks[0]), l.ambient, picks))
-
-
-def _residue_independent_rows(h: Rows, p: int) -> Rows:
-    """The rows of h whose mod-p images are independent of the rows picked before."""
-    basis: tuple = ()
-    picked = []
-    for row in h:
-        grown = zps.echelon_add_mod_p(basis, row, p)
-        if grown is not None:
-            basis = grown
-            picked.append(row)
-    return tuple(picked)
 
 
 def dual(s: Subspace) -> Subspace:

@@ -532,6 +532,7 @@ class TestGeometryCommands:
             ("[[1,0,0],[1]]", "point rows must have equal length"),
             # the row shape is checked before the entries, as for matrices
             ("[[true],[1,0]]", "point rows must have equal length"),
+            ("{}", "point set payload must be an array of point rows"),
         ],
     )
     def test_malformed_point_rows_name_the_payload(self, capsys, points, message):
@@ -754,6 +755,52 @@ class TestContract:
         )
         assert code == 0
         assert "count: 6" in out
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (
+                ["ring", "info", "--ring", "Z12"],
+                "ring: Z4xZ3\n"
+                "components:\n"
+                "  prime=2  exponent=2  order=4\n"
+                "  prime=3  exponent=1  order=3\n"
+                "order: 12\nunits: 4\ncoprime: true\ngl2: 4608\n",
+            ),
+            (
+                ["arc", "extend", "--ring", "Z2", "--points", "[[1,0,0],[0,1,0]]"],
+                "extensions:\n  [0 0 1]\n  [0 1 1]\n  [1 0 1]\n  [1 1 1]\n",
+            ),
+            (["arc", "max", "--ring", "Z13", "-n", "6"], "size: -\n"),
+            (
+                ["singular", "type", "--ring", "Z4", "-n", "1", "-k", "1",
+                 "--matrix", "[[2,1]]"],
+                "m: 1\nt: 0\ntyped: false\n",
+            ),
+        ],
+        ids=["list of dicts", "list of rows", "none", "bool"],
+    )
+    def test_table_output_of_nested_payloads(self, capsys, argv, text):
+        assert run(capsys, argv + ["--output", "table"]) == (0, text, "")
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["singular", "enumerate", "--ring", "Z4", "-n", "1", "-k", "1", "-m", "1"], 2,
+             "give both -m and -t, or neither"),
+            (["subspace", "canon", "--ring", "Z4", "--matrix", "[[1,0],[0,1],[1,1]]"], 1,
+             "more rows than ambient dimension"),
+            (["matrix", "rank", "--ring", "Z4", "--matrix", "5"], 1,
+             "matrix payload must be a nested JSON array"),
+        ],
+    )
+    def test_input_refusals(self, capsys, argv, code, message):
+        assert run(capsys, argv) == (code, "", f"error: {message}\n")
+
+    def test_empty_point_set_needs_n(self, capsys):
+        argv = ["arc", "check", "--ring", "Z4", "--points", "[]"]
+        assert run(capsys, argv) == (2, "", "error: empty point set needs an explicit -n\n")
+        assert run_json(capsys, argv + ["-n", "3"]) == {"arc": True}
 
     def test_residue_array_form_for_non_coprime_ring(self, capsys):
         doc = run_json(

@@ -13,6 +13,7 @@ from ringspace import (
     NotACapError,
     NotAnArcError,
     PointSet,
+    RingMismatchError,
     ShapeMismatchError,
     Subspace,
     enumerate_points,
@@ -476,8 +477,8 @@ def test_extensions_reduce_each_prefix_once(monkeypatch, z3, size):
 @pytest.mark.parametrize(
     "kind, spec, n, added, remainders, spans",
     [
-        ("cap", "Z3", 4, 26, 545, 3),
-        ("arc", "Z7", 4, 39, 954, 10),
+        ("cap", "Z3", 4, 2, 545, 3),
+        ("arc", "Z7", 4, 9, 954, 10),
         ("arc", "Z6", 4, 18, 38, 20),
         ("arc", "Z12", 3, 6, 18, 12),
     ],
@@ -485,15 +486,22 @@ def test_extensions_reduce_each_prefix_once(monkeypatch, z3, size):
 def test_benchmark_search_kernel_calls(monkeypatch, kind, spec, n, added, remainders, spans):
     """The benchmark's four searches make exactly these kernel calls, from
     the candidates' extension query and the search's conflict rows; the
-    remainder_mod_p calls include those that echelon_add_mod_p makes."""
+    remainder_mod_p calls include those that echelon_add_mod_p and
+    echelon_mod_p make."""
+    # one echelon_mod_p call per stack whose conflict rows the search builds;
+    # looked up by ring, not a parameter, so each case keeps its test id
+    stacks = {"Z3": 24, "Z7": 15, "Z6": 0, "Z12": 0}[spec]
     ring = parse_ring(spec)
     calls = {
         name: _counting(monkeypatch, name)
-        for name in ("echelon_add_mod_p", "remainder_mod_p", "span_points_mod_p")
+        for name in (
+            "echelon_add_mod_p", "echelon_mod_p", "remainder_mod_p", "span_points_mod_p"
+        )
     }
     getattr(geometry, f"search_max_{kind}")(n, ring)
     assert {name: len(c) for name, c in calls.items()} == {
         "echelon_add_mod_p": added,
+        "echelon_mod_p": stacks,
         "remainder_mod_p": remainders,
         "span_points_mod_p": spans,
     }
@@ -588,6 +596,19 @@ def test_extensions_raise_on_dependent_stack(z4):
     ps = PointSet.from_rows(z4, [[1, 0, 0], [1, 2, 0]])
     with pytest.raises(InternalError, match="dependent"):
         geometry._extensions(ps, 3, 10**6)
+
+
+def test_point_set_of_checks_each_point(z4, z6):
+    """A point of another ring or ambient dimension, or a subspace that is
+    not a point, is refused."""
+    def sub(ring, rows):
+        return Subspace.from_matrix(Matrix.from_entries(ring, rows))
+
+    for pt in (sub(z6, [[1, 0]]), sub(z4, [[1, 0, 0]])):
+        with pytest.raises(RingMismatchError, match="^point from a different space$"):
+            PointSet.of(z4, 2, [pt])
+    with pytest.raises(ShapeMismatchError, match="^points must be 1-subspaces$"):
+        PointSet.of(z4, 2, [sub(z4, [[1, 0], [0, 1]])])
 
 
 class TestSizeTables:

@@ -12,6 +12,7 @@ from ringspace import (
     Matrix,
     NotFullRankError,
     NotInvertibleError,
+    RingMismatchError,
     RingParseError,
     ShapeMismatchError,
     Subspace,
@@ -87,6 +88,12 @@ class TestConstruction:
         with pytest.raises(RingParseError):
             Matrix.from_entries(z4, [[True]])
 
+    def test_entry_of_another_ring_rejected(self, z4, z6):
+        with pytest.raises(RingMismatchError, match="^entry from a different ring$"):
+            Matrix.from_entries(z4, [[z6.from_int(1)]])
+        with pytest.raises(RingParseError, match="^cannot interpret 1.5 as a ring element$"):
+            Matrix.from_entries(z4, [[1.5]])
+
     def test_ragged_rejected(self, z4):
         with pytest.raises(ShapeMismatchError):
             Matrix.from_entries(z4, [[1, 2], [1]])
@@ -107,6 +114,10 @@ class TestConstruction:
     def test_mul_shape_checked(self, z4):
         with pytest.raises(ShapeMismatchError):
             Matrix.zeros(z4, 2, 2).mul(Matrix.zeros(z4, 3, 2))
+
+    def test_mul_ring_checked(self, z4, z6):
+        with pytest.raises(RingMismatchError, match="^matrices over different rings$"):
+            Matrix.identity(z4, 2).mul(Matrix.identity(z6, 2))
 
 
 class TestMcCoyRank:
@@ -206,7 +217,7 @@ class TestConstructiveTransforms:
     EXHAUSTIVE = 4096
 
     @pytest.mark.parametrize("spec", ["Z4", "Z6", "Z8", "Z2xZ4"])
-    def test_extend_to_basis_equals_the_two_pass_route(self, spec):
+    def test_extend_to_basis_appends_coordinate_rows(self, spec):
         """The coordinate extension where the two-pass route extends, and
         its error where it refuses: m > n, or rows not unimodular."""
         ring = parse_ring(spec)
@@ -264,7 +275,7 @@ class TestConstructiveTransforms:
 
 @settings(deadline=None, max_examples=60)
 @given(st.data(), st.sampled_from(["Z64", "Z720720"]))
-def test_extend_to_basis_equals_the_two_pass_route_wide(data, spec):
+def test_extend_to_basis_appends_coordinate_rows_wide(data, spec):
     """Over a deep chain and a ring of six components, at n = 8."""
     ring = parse_ring(spec)
     a = unimodular_rows(data.draw, ring, 8, data.draw(st.integers(0, 8)))

@@ -63,6 +63,10 @@ class TestParse:
         with pytest.raises(RingParseError, match="not prime"):
             LocalRing(p, 1)
 
+    def test_local_ring_needs_a_positive_exponent(self):
+        with pytest.raises(RingParseError, match="^exponent must be >= 1, got 0$"):
+            LocalRing(2, 0)
+
     def test_empty_component_tuple_rejected(self):
         with pytest.raises(RingParseError):
             Ring(())

@@ -112,6 +112,13 @@ class TestCanonicalForm:
         with pytest.raises(RingMismatchError):
             meet(a, b)
 
+    def test_contains_across_spaces_rejected(self, z4, z6):
+        a = Subspace.from_matrix(Matrix.from_entries(z4, [[1, 0]]))
+        for b in (Subspace.from_matrix(Matrix.from_entries(z6, [[1, 0]])),
+                  Subspace.from_matrix(Matrix.from_entries(z4, [[1, 0, 0]]))):
+            with pytest.raises(RingMismatchError, match="^subspaces of different spaces$"):
+                a.contains(b)
+
 
 class TestMeetJoin:
     def test_meet_join_against_vector_sets(self, module_vectors):

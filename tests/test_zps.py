@@ -14,6 +14,7 @@ from ringspace.errors import InternalError, NotFullRankError, NotInvertibleError
 from ringspace.zps import (
     completion,
     echelon_add_mod_p,
+    echelon_mod_p,
     howell,
     howell_pivot_vals,
     identity,
@@ -23,6 +24,7 @@ from ringspace.zps import (
     module_contains,
     module_size,
     rank_mod_p,
+    remainder_mod_p,
     rref_unit,
     span_points_mod_p,
     val,
@@ -304,6 +306,19 @@ def test_echelon_fold_agrees_with_rank(case):
     assert (basis is None) == (rank_mod_p(rows, n, p) < len(rows))
     if basis is not None:
         assert len(basis) == len(rows)
+
+
+@given(stacks_mod_p())
+def test_echelon_keeps_the_rows_independent_of_those_before(case):
+    """The kept rows are a subsequence of the stack, as many as its rank mod
+    p and as the basis rows, and every row of the stack reduces to None
+    against the basis."""
+    p, n, rows = case
+    kept, basis = echelon_mod_p(rows, p)
+    left = iter(rows)
+    assert all(row in left for row in kept)
+    assert len(kept) == len(basis) == rank_mod_p(rows, n, p)
+    assert all(remainder_mod_p(basis, row, p) is None for row in rows)
 
 
 # No per-example deadline: the coefficient scan below is a brute-force
