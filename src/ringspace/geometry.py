@@ -49,10 +49,18 @@ this route counts the keys and builds no projection
 (``project_point_set``).  What the two routes check against each other is
 a scan of canonical ring rows against a count of field points.
 
-Maximum sizes come from a fixed lookup table of known field and ring
-values; configurations outside the table report None (unknown) rather than
-extrapolate, and an exact backtracking search is available to establish
-the value by exhaustion.
+Maximum sizes are the least over R's residue fields.  Admissibility reads
+residue keys only, and every subset of an admissible set is admissible:
+a set over R maps onto an admissible set in each residue field, and
+maximal field sets, each cut to the smallest size, pair up by CRT into an
+admissible set over R.  A maximum arc of F_p^n has max(n, p) + 1
+points: n + 1 for n >= p (Bush, *Ann. Math. Stat.* 23, 1952), and p + 1
+for n <= p, the MDS conjecture, which Ball proved for prime fields
+(*J. Eur. Math. Soc.* 14, 2012).  A maximum cap of F_p^n has 2^(n-1)
+points for p = 2, p + 1 at n = 3 (Segre's bound), p^2 + 1 at n = 4 (Bose
+1947; Qvist 1952), and 20 and 56 in F_3^5 and F_3^6 (Pellegrino 1970;
+Hill 1973); other caps are unknown (None).  An exact backtracking search
+establishes a value by exhaustion.
 """
 
 from __future__ import annotations
@@ -328,59 +336,29 @@ def is_complete_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
 # -- known maximum sizes -------------------------------------------------------
 
 
-def _field_arc_rows(n: int, qs: Sequence[int]) -> list[int]:
-    """Applicable table rows for the maximum arc size, by global conditions."""
-    vals = []
-    if n == 2:
-        vals.append(min(q + 1 for q in qs))
+def _field_cap(n: int, p: int) -> int | None:
+    """Maximum cap size in F_p^n, or None where it is unknown."""
+    if p == 2:
+        return 2 ** (n - 1)
     if n == 3:
-        vals.append(min(q + (3 + (-1) ** q) // 2 for q in qs))
-    if n == 4 and all(q > 3 for q in qs):
-        vals.append(min(q + 1 for q in qs))
-    if n == 5 and all(q >= 5 for q in qs):
-        vals.append(min(q + 1 for q in qs))
-    if n >= 3 and all(q <= n for q in qs):
-        vals.append(n + 1)
-    return vals
+        return p + 1
+    if n == 4:
+        return p * p + 1
+    return {(5, 3): 20, (6, 3): 56}.get((n, p))
 
 
-def _field_cap_rows(n: int, qs: Sequence[int]) -> list[int]:
-    vals = []
-    if n >= 3 and all(q == 2 for q in qs):
-        vals.append(2 ** (n - 1))
-    if n == 3:
-        vals.append(min(q + (3 + (-1) ** q) // 2 for q in qs))
-    if n == 4 and all(q > 2 for q in qs):
-        vals.append(min(q * q + 1 for q in qs))
-    if n == 5 and all(q == 3 for q in qs):
-        vals.append(20)
-    if n == 6 and all(q == 3 for q in qs):
-        vals.append(56)
-    return vals
-
-
-def _max_size(n: int, ring: Ring, kind: _Kind, table_rows) -> int | None:
-    kind.check_ambient(n)
-    vals = table_rows(n, [c.prime for c in ring.components])
-    if not vals:
-        return None
-    if len(set(vals)) != 1:
-        raise InternalError("table rows must agree where they overlap")
-    return vals[0]
-
-
-def max_arc_size_formula(n: int, ring: Ring) -> int | None:
-    """Known maximum arc size in R^n, or None outside the table's validity.
-
-    The size over R is the minimum of the residue-field values; each table
-    row applies only under its stated condition on all component fields.
-    """
-    return _max_size(n, ring, _ARC, _field_arc_rows)
+def max_arc_size_formula(n: int, ring: Ring) -> int:
+    """Maximum arc size in R^n: max(n, p) + 1 for the least prime p of R."""
+    _ARC.check_ambient(n)
+    return max(n, min(c.prime for c in ring.components)) + 1
 
 
 def max_cap_size_formula(n: int, ring: Ring) -> int | None:
-    """Known maximum cap size in R^n, or None outside the table's validity."""
-    return _max_size(n, ring, _CAP, _field_cap_rows)
+    """Maximum cap size in R^n, the least over R's primes, or None when
+    some prime's value is unknown."""
+    _CAP.check_ambient(n)
+    sizes = [_field_cap(n, c.prime) for c in ring.components]
+    return None if None in sizes else min(sizes)
 
 
 # -- exact search ----------------------------------------------------------------

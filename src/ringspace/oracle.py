@@ -462,6 +462,7 @@ def geometry_suite() -> list[SuiteItem]:
     cases = [
         ("arc", "Z4", 2), ("arc", "Z6", 2), ("arc", "Z4", 3), ("arc", "Z6", 3),
         ("cap", "Z4", 3), ("cap", "Z6", 3), ("cap", "Z2", 4),
+        ("arc", "Z10", 4), ("arc", "Z15", 4), ("arc", "Z21", 4),
     ]
     return [
         SuiteItem(

@@ -562,6 +562,8 @@ class TestGeometryCommands:
         doc = run_json(capsys, ["arc", "max", "--ring", "Z6", "-n", "4"])
         assert doc == {"size": 5}
         doc = run_json(capsys, ["cap", "max", "--ring", "Z6", "-n", "4"])
+        assert doc == {"size": 8}
+        doc = run_json(capsys, ["cap", "max", "--ring", "Z5", "-n", "5"])
         assert doc == {"size": None}
 
 
@@ -569,7 +571,7 @@ class TestVerifyCommand:
     def test_geometry_suite(self, capsys):
         doc = run_json(capsys, ["verify", "--suite", "geometry"])
         assert doc["mismatches"] == 0
-        assert doc["total"] == 7
+        assert doc["total"] == 10
         assert all(r["match"] for r in doc["reports"])
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
@@ -771,7 +773,7 @@ class TestContract:
                 ["arc", "extend", "--ring", "Z2", "--points", "[[1,0,0],[0,1,0]]"],
                 "extensions:\n  [0 0 1]\n  [0 1 1]\n  [1 0 1]\n  [1 1 1]\n",
             ),
-            (["arc", "max", "--ring", "Z13", "-n", "6"], "size: -\n"),
+            (["cap", "max", "--ring", "Z5", "-n", "5"], "size: -\n"),
             (
                 ["singular", "type", "--ring", "Z4", "-n", "1", "-k", "1",
                  "--matrix", "[[2,1]]"],

@@ -388,9 +388,9 @@ def test_kind_error_comes_before_the_budget(spec, rows):
                 query(ps, 0)
 
 
-def test_refused_queries_keep_no_bases(monkeypatch, z4):
+def test_refused_queries_build_no_span(monkeypatch, z4):
     """A query the budget refuses walks the set for admission only: no
-    basis is kept before the budget raises."""
+    span is built before the budget raises."""
     keeps = []
     walk = geometry._walk
     monkeypatch.setattr(
@@ -620,10 +620,10 @@ class TestSizeTables:
         assert max_arc_size_formula(4, z6) == 5
         assert max_arc_size_formula(5, z4) == 6
 
-    def test_arc_unknown_outside_table(self):
+    def test_arc_takes_least_prime(self):
         z5 = parse_ring("Z5")
-        # ambient 4 needs q > 3 everywhere; Z10 mixes q=2 and q=5
-        assert max_arc_size_formula(4, parse_ring("Z10")) is None
+        # Z10 mixes p=2 (F_2^4: 5) and p=5 (F_5^4: 6)
+        assert max_arc_size_formula(4, parse_ring("Z10")) == 5
         assert max_arc_size_formula(4, z5) == 6
 
     def test_cap_values(self, z2, z3, z4, z6):
@@ -637,7 +637,9 @@ class TestSizeTables:
         assert max_cap_size_formula(5, z2) == 16
 
     def test_cap_unknown_for_mixed_q_dim4(self, z6):
-        assert max_cap_size_formula(4, z6) is None
+        # F_2^4: 8 and F_3^4: 10; F_5^5 is unknown
+        assert max_cap_size_formula(4, z6) == 8
+        assert max_cap_size_formula(5, parse_ring("Z5")) is None
 
     def test_preconditions(self, z4):
         with pytest.raises(ShapeMismatchError):
@@ -653,7 +655,8 @@ class TestSearch:
         [
             ("Z4", 2, 3), ("Z6", 2, 3), ("Z4", 3, 4), ("Z6", 3, 4), ("Z3", 4, 5),
             ("Z3", 5, 6), ("Z5", 5, 6), ("Z7", 4, 8), ("Z7", 5, 8), ("Z11", 3, 12),
-            ("Z35", 3, 6), ("Z13", 3, 14),
+            ("Z35", 3, 6), ("Z13", 3, 14), ("Z10", 4, 5), ("Z15", 4, 5),
+            ("Z21", 4, 5), ("Z21", 5, 6), ("Z7", 6, 8),
         ],
     )
     def test_max_arc(self, spec, n, size):
@@ -661,7 +664,8 @@ class TestSearch:
         ps = search_max_arc(n, ring)
         assert len(ps.points) == size
         assert is_arc(ps)
-        assert is_complete_arc(ps)
+        # the |R|^n charge of Z21^5 is past the default budget, not the search's
+        assert is_complete_arc(ps, geometry.SEARCH_BUDGET)
         assert len(ps.points) == max_arc_size_formula(n, ring)
 
     @pytest.mark.parametrize(

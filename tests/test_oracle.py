@@ -396,9 +396,9 @@ class TestHarness:
         from ringspace.oracle import SUITES
 
         sizes = {name: len(build()) for name, build in SUITES.items()}
-        assert sizes == {"counts": 401, "algebra": 8, "geometry": 7}
+        assert sizes == {"counts": 401, "algebra": 8, "geometry": 10}
         queries = [item.query for build in SUITES.values() for item in build()]
-        assert len(queries) == len(set(queries)) == 416
+        assert len(queries) == len(set(queries)) == 419
 
     def test_named_suites_resolve(self):
         from ringspace.oracle import SUITES

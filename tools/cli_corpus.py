@@ -32,9 +32,11 @@ The sections:
 - ``geometry``: ``arc|cap extend`` and ``complete`` over Z6^3, Z12^3, Z9^3
   and Z2xZ3^4, on every prefix of seeded greedy complete sets (grown
   through ``extend``), and on each set plus one point, which is not
-  admissible.
+  admissible;
+- ``max``: ``arc max`` for n = 2..8 and ``cap max`` for n = 3..8 over Z2,
+  Z3, Z4, Z5, Z6, Z7, Z9, Z10, Z11, Z12, Z13, Z15, Z21, Z35 and Z2xZ9.
 
-It takes about 30 seconds on one core.
+It takes about 45 seconds on one core.
 """
 
 import argparse
@@ -179,6 +181,17 @@ def geometry_calls():
             yield query("extend", full + [extra])
 
 
+MAX_RINGS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "Z11", "Z12", "Z13",
+             "Z15", "Z21", "Z35", "Z2xZ9"]
+
+
+def max_calls():
+    for ring in MAX_RINGS:
+        for kind, low in (("arc", 2), ("cap", 3)):
+            for n in range(low, 9):
+                yield [kind, "max", "--ring", ring, "-n", str(n)]
+
+
 SECTIONS = {
     "readme": lambda: (line.split(" ") for line in README),
     "singular": singular_calls,
@@ -187,6 +200,7 @@ SECTIONS = {
     "refusals": lambda: iter(REFUSALS),
     "geometry": geometry_calls,
     "transforms": transforms_calls,
+    "max": max_calls,
 }
 
 
