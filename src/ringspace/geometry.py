@@ -60,7 +60,10 @@ for n <= p, the MDS conjecture, which Ball proved for prime fields
 points for p = 2, p + 1 at n = 3 (Segre's bound), p^2 + 1 at n = 4 (Bose
 1947; Qvist 1952), and 20 and 56 in F_3^5 and F_3^6 (Pellegrino 1970;
 Hill 1973); other caps are unknown (None).  An exact backtracking search
-establishes a value by exhaustion.
+establishes a value by exhaustion.  It takes one point per residue class:
+it searches F^n, F the product of R's residue fields, and returns the
+field points unchanged as points of R^n, which is the set the search over
+every point of R^n returns (``_search_max``).
 """
 
 from __future__ import annotations
@@ -203,15 +206,19 @@ def is_cap(ps: PointSet) -> bool:
     return _walk(ps, 3, False) is not None
 
 
+def _residue_fields(components: Iterable[LocalRing]) -> Ring:
+    """The product of the residue fields Z_p of these components."""
+    return Ring(tuple(LocalRing(c.prime, 1) for c in components))
+
+
 def project_point_set(ps: PointSet, i: int) -> PointSet:
     """Image of the point set over the residue field of component i.
 
     A collision between projected points means the input was not in general
     position; that is reported as an error rather than merged silently.
     """
-    comp = ps.ring.components[i]
-    field = Ring((LocalRing(comp.prime, 1),))
-    p = comp.prime
+    field = _residue_fields(ps.ring.components[i : i + 1])
+    p = field.order
     out = {}
     for pt in ps.points:
         # a canonical row's residue is 1 at its pivot and 0 left of it:
@@ -466,23 +473,33 @@ def _search(
     return [pool[i] for i in best]
 
 
-def _search_max(
-    frame: Sequence[Sequence[int]], ring: Ring, kind: _Kind, budget: int
-) -> PointSet:
-    """A largest admissible set of R^n that holds the pinned frame.
+def _search_max(n: int, ring: Ring, kind: _Kind, budget: int) -> PointSet:
+    """A largest admissible set of R^n that holds the pinned frame: the first
+    k coordinate points, plus the all-ones point for arcs.
 
-    The caller charges the |R|^n that ``_extensions`` charges before it
-    builds the frame, so a budget that refuses the search refuses before
-    the frame is built and checked, which costs about n^2.  ``_extensions``
-    checks the frame as it walks it, and raises InternalError if the frame
-    is not admissible.
+    The search runs over F, the product of R's residue fields, and each
+    point it returns is lifted to R unchanged.  Call two points of R^n twins
+    when their residues agree in every component.  Twins conflict, and every
+    other point treats twins alike, since admissibility reads residue keys
+    only.  ``_search`` returns the lexicographically least maximum set, so
+    over R that set holds only the least twin of each class, and the least
+    twin is the residue-field row itself: it is 0 left of its pivot 1, so
+    it is already canonical over Z_{p^s}.  The search over F therefore
+    returns the same set, with the same canons, as the search over every
+    point of R^n would.
+
+    |F|^n is charged before the frame is built and checked, which costs
+    about n^2, so a refused search builds no frame.  ``_extensions`` checks
+    the frame as it walks it, and raises InternalError if the frame is not
+    admissible.
     """
-    base_set = PointSet.from_rows(ring, frame)
-    n = base_set.ambient
+    field = _residue_fields(ring.components)
+    charge_power(field.order, n, budget)
     k = kind.size(n)
-    candidates = _extensions(base_set, k, budget)
-    best = _search(list(base_set.points), candidates, k, ring, budget)
-    return PointSet.of(ring, n, best)
+    ones = ((1,) * n,) if kind is _ARC else ()
+    frame = PointSet.from_rows(field, zps.identity(n)[:k] + ones)
+    best = _search(list(frame.points), _extensions(frame, k, budget), k, field, budget)
+    return PointSet.of(ring, n, (Subspace(ring, n, 1, p.canons, p.pivots) for p in best))
 
 
 def search_max_arc(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
@@ -495,8 +512,7 @@ def search_max_arc(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     maximum, not a heuristic.
     """
     _ARC.check_ambient(n)
-    charge_power(ring.order, n, budget)
-    return _search_max(zps.identity(n) + ((1,) * n,), ring, _ARC, budget)
+    return _search_max(n, ring, _ARC, budget)
 
 
 def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
@@ -507,5 +523,4 @@ def search_max_cap(n: int, ring: Ring, budget: int = SEARCH_BUDGET) -> PointSet:
     pinning them preserves the maximum size.
     """
     _CAP.check_ambient(n)
-    charge_power(ring.order, n, budget)
-    return _search_max(zps.identity(n)[:3], ring, _CAP, budget)
+    return _search_max(n, ring, _CAP, budget)

@@ -463,6 +463,7 @@ def geometry_suite() -> list[SuiteItem]:
         ("arc", "Z4", 2), ("arc", "Z6", 2), ("arc", "Z4", 3), ("arc", "Z6", 3),
         ("cap", "Z4", 3), ("cap", "Z6", 3), ("cap", "Z2", 4),
         ("arc", "Z10", 4), ("arc", "Z15", 4), ("arc", "Z21", 4),
+        ("cap", "Z4", 5), ("cap", "Z8", 4), ("arc", "Z49", 3),
     ]
     return [
         SuiteItem(

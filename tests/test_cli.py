@@ -571,7 +571,7 @@ class TestVerifyCommand:
     def test_geometry_suite(self, capsys):
         doc = run_json(capsys, ["verify", "--suite", "geometry"])
         assert doc["mismatches"] == 0
-        assert doc["total"] == 10
+        assert doc["total"] == 13
         assert all(r["match"] for r in doc["reports"])
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):

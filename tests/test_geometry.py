@@ -1,6 +1,7 @@
 """Arcs and caps: verification, projections, completeness, tables, search."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -427,14 +428,17 @@ def test_queries_list_no_points(monkeypatch, z6):
     "kind,spec,n", [("arc", "Z4", 3), ("cap", "Z6", 3), ("arc", "Z2xZ3", 2), ("cap", "Z9", 3)]
 )
 def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
-    """extend, complete and search charge |R|^n units before any other work:
-    |R|^n - 1 raises and |R|^n passes, on full, half and empty sets."""
+    """extend and complete charge |R|^n units before any other work, and the
+    search |F|^n, F the product of R's residue fields: one unit less
+    raises and the charge passes, on full, half and empty sets.  Over Z4^3
+    the search charges 8, not 64, and over Z9^3 27, not 729."""
     ring = parse_ring(spec)
     size = ring.order**n
+    field_size = math.prod(c.prime for c in ring.components) ** n
     search = getattr(geometry, f"search_max_{kind}")
     extend = getattr(geometry, f"extend_{kind}")
     complete = getattr(geometry, f"is_complete_{kind}")
-    full = search(n, ring, size).points
+    full = search(n, ring, field_size).points
     for pts in (full, full[: len(full) // 2], ()):
         ps = PointSet.of(ring, n, pts)
         assert extend(ps, size) == extend(ps)
@@ -446,7 +450,7 @@ def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
                 with pytest.raises(BudgetExceededError, match="^enumeration budget"):
                     query(ps, size - 1)
     with pytest.raises(BudgetExceededError, match="^enumeration budget"):
-        search(n, ring, size - 1)
+        search(n, ring, field_size - 1)
 
 
 def _counting(monkeypatch, name):
@@ -648,6 +652,16 @@ class TestSizeTables:
             max_cap_size_formula(2, z4)
 
 
+def _assert_lifts_field_search(kind, n, ring, found):
+    """The search over R returns the search over F, the product of R's
+    residue fields, point for point: one point per class of twins, each
+    the residue-field row itself (``geometry._search_max``)."""
+    field = parse_ring("x".join(f"Z{c.prime}" for c in ring.components))
+    if field != ring:
+        want = getattr(geometry, f"search_max_{kind}")(n, field)
+        assert [p.canons for p in found.points] == [p.canons for p in want.points]
+
+
 class TestSearch:
     # each table row the search reaches in well under a second
     @pytest.mark.parametrize(
@@ -656,7 +670,9 @@ class TestSearch:
             ("Z4", 2, 3), ("Z6", 2, 3), ("Z4", 3, 4), ("Z6", 3, 4), ("Z3", 4, 5),
             ("Z3", 5, 6), ("Z5", 5, 6), ("Z7", 4, 8), ("Z7", 5, 8), ("Z11", 3, 12),
             ("Z35", 3, 6), ("Z13", 3, 14), ("Z10", 4, 5), ("Z15", 4, 5),
-            ("Z21", 4, 5), ("Z21", 5, 6), ("Z7", 6, 8),
+            ("Z21", 4, 5), ("Z21", 5, 6), ("Z7", 6, 8), ("Z25", 3, 6),
+            # the search charges |F|^n: 2^3, not |R|^n = 2^60, for Z1048576^3
+            ("Z49", 3, 8), ("Z5xZ25", 4, 6), ("Z1048576", 3, 4),
         ],
     )
     def test_max_arc(self, spec, n, size):
@@ -664,22 +680,29 @@ class TestSearch:
         ps = search_max_arc(n, ring)
         assert len(ps.points) == size
         assert is_arc(ps)
-        # the |R|^n charge of Z21^5 is past the default budget, not the search's
-        assert is_complete_arc(ps, geometry.SEARCH_BUDGET)
+        # completeness charges |R|^n: past the default budget for Z21^5,
+        # past the search's too for Z5xZ25^4 and Z1048576^3
+        if ring.order**n <= geometry.SEARCH_BUDGET:
+            assert is_complete_arc(ps, geometry.SEARCH_BUDGET)
         assert len(ps.points) == max_arc_size_formula(n, ring)
+        _assert_lifts_field_search("arc", n, ring, ps)
 
     @pytest.mark.parametrize(
         "spec,n,size",
         [("Z4", 3, 4), ("Z6", 3, 4), ("Z2", 4, 8), ("Z2", 5, 16), ("Z10", 3, 4),
-         ("Z15", 3, 4), ("Z2", 6, 32), ("Z11", 3, 12)],
+         ("Z15", 3, 4), ("Z2", 6, 32), ("Z11", 3, 12),
+         ("Z9", 4, 10), ("Z8", 4, 8), ("Z4", 5, 16), ("Z27", 4, 10), ("Z2xZ4", 4, 8),
+         ("Z5xZ25", 3, 6)],
     )
     def test_max_cap(self, spec, n, size):
         ring = parse_ring(spec)
         ps = search_max_cap(n, ring)
         assert len(ps.points) == size
         assert is_cap(ps)
-        assert is_complete_cap(ps)
+        # the |R|^n charge of Z5xZ25^3 is past the default budget
+        assert is_complete_cap(ps, geometry.SEARCH_BUDGET)
         assert len(ps.points) == max_cap_size_formula(n, ring)
+        _assert_lifts_field_search("cap", n, ring, ps)
 
     def test_search_is_deterministic(self, z4):
         a = search_max_arc(2, z4)
@@ -745,6 +768,7 @@ class TestSearch:
         want, nodes = _full_check_search(base, candidates, k, ring, n)
         found = getattr(geometry, f"search_max_{kind}")(n, ring)
         assert found.points == PointSet.of(ring, n, want).points
+        _assert_lifts_field_search(kind, n, ring, found)
         bounded, pruned = _full_check_search(base, candidates, k, ring, n, True)
         assert [p.canons for p in bounded] == [p.canons for p in want]
         assert pruned <= nodes
@@ -756,8 +780,9 @@ class TestSearch:
     def test_benchmark_search_raise_points(self, z3):
         """The benchmark's two costly searches spend exactly these nodes.
 
-        The arc search over Z7^4 first charges |R|^n = 2,401 units for its
-        candidates, so under a budget of 60 it stops there."""
+        The arc search over Z7^4 first charges |F|^n = 2,401 units for its
+        candidates, F the product of the residue fields (Z7 itself), so
+        under a budget of 60 it stops there."""
         found = search_max_cap(4, z3, budget=2_625)
         assert found.points == search_max_cap(4, z3).points
         with pytest.raises(BudgetExceededError, match="^search budget"):
@@ -776,7 +801,7 @@ class TestSearch:
     @pytest.mark.parametrize("kind", ["arc", "cap"])
     def test_budget_refused_before_the_frame(self, monkeypatch, z2, kind):
         """Building and checking the pinned frame costs about n^2 and is
-        charged nothing, so a search refuses on its |R|^n charge first."""
+        charged nothing, so a search refuses on its |F|^n charge first."""
 
         def frame(*args):
             raise AssertionError("the frame was built or checked")

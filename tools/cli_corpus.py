@@ -34,7 +34,10 @@ The sections:
   through ``extend``), and on each set plus one point, which is not
   admissible;
 - ``max``: ``arc max`` for n = 2..8 and ``cap max`` for n = 3..8 over Z2,
-  Z3, Z4, Z5, Z6, Z7, Z9, Z10, Z11, Z12, Z13, Z15, Z21, Z35 and Z2xZ9.
+  Z3, Z4, Z5, Z6, Z7, Z9, Z10, Z11, Z12, Z13, Z15, Z21, Z35 and Z2xZ9;
+- ``search``: ``arc|cap search`` over rings with a non-field component,
+  whose points are those of the search over the residue fields, and the
+  budget that just fits and just refuses its ``|F|^n`` charge.
 
 It takes about 45 seconds on one core.
 """
@@ -185,6 +188,21 @@ MAX_RINGS = ["Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z9", "Z10", "Z11", "Z12", "Z13
              "Z15", "Z21", "Z35", "Z2xZ9"]
 
 
+SEARCH = [
+    "arc search -n 3 --ring Z4",
+    "cap search -n 3 --ring Z9",
+    "arc search -n 4 --ring Z6",
+    "arc search -n 3 --ring Z12",
+    "cap search -n 4 --ring Z9",
+    "cap search -n 4 --ring Z8",
+    "cap search -n 5 --ring Z4",
+    "arc search -n 3 --ring Z49",
+    "arc search -n 3 --ring Z1048576",
+    "arc search -n 3 --ring Z4 --budget 7",
+    "arc search -n 3 --ring Z4 --budget 8",
+]
+
+
 def max_calls():
     for ring in MAX_RINGS:
         for kind, low in (("arc", 2), ("cap", 3)):
@@ -201,6 +219,7 @@ SECTIONS = {
     "geometry": geometry_calls,
     "transforms": transforms_calls,
     "max": max_calls,
+    "search": lambda: (line.split(" ") for line in SEARCH),
 }
 
 
