@@ -28,7 +28,9 @@ point after S against S once.  The keys decide membership, and S's basis
 plus a point's remainder is the basis of that (k-1)-subset, whose span
 points the walk builds there, once, as the component's blocked keys.  The
 budget is charged before any span is built, and a query it refuses is
-walked for membership only.  A point is kept when its residue key is
+walked for membership only.  Each query charges the rows it goes on to
+read: extension |R|^n, as for listing every point, and completeness the
+largest residue field's p^n.  A point is kept when its residue key is
 blocked in no component, so the kept points are a product over components,
 and the extension queries build only them (the covering view of complete
 caps in Hirschfeld, *Projective Geometries over Finite Fields*, 1998).  The
@@ -39,15 +41,15 @@ first nonzero entry, which is how the span points are normalised too.
 Completeness is computed along two routes and cross-checked, and neither
 builds a point.  Directly, no point extends the set exactly when the kept
 points' product is empty, that is when some component has no canonical row
-over Z_{p^s} whose residue key is unblocked; that scan reads the rows
-``shapes`` allows.  Via the residue-field projections, the set is complete
-iff at least one component projection is complete over its field.  A
-projection holds the set's residue rows, so it blocks the same keys as the
-set does in that component, and it is complete when those keys, each a
-normalised point of PG(n-1, p), number all (p^n - 1)/(p - 1) of them; so
-this route counts the keys and builds no projection
-(``project_point_set``).  What the two routes check against each other is
-a scan of canonical ring rows against a count of field points.
+over Z_{p^s} whose residue key is unblocked.  Those keys are the canonical
+rows of F_p^n, so the scan reads the rows ``shapes`` allows over F_p.  Via
+the residue-field projections, the set is complete iff at least one
+component projection is complete over its field.  A projection holds the
+set's residue rows, so it blocks the same keys as the set does in that
+component, and it is complete when those keys, each a normalised point of
+PG(n-1, p), number all (p^n - 1)/(p - 1) of them; so this route counts the
+keys and builds no projection (``project_point_set``).  What the two routes check against each other is
+a scan of canonical field rows against a count of blocked keys.
 
 Maximum sizes are the least over R's residue fields.  Admissibility reads
 residue keys only, and every subset of an admissible set is admissible:
@@ -235,18 +237,18 @@ def _dependent_stack() -> NoReturn:
 
 
 def _blocked(
-    ps: PointSet, k: int, budget: int, reject: Callable[[], NoReturn]
+    ps: PointSet, k: int, base: int, budget: int, reject: Callable[[], NoReturn]
 ) -> list[set[tuple[int, ...]]]:
     """Each component's span points of every (k-1)-subset of the set.
 
     They are the keys ``_walk`` builds when it keeps them.  ``reject``
-    raises when the set is not admissible.  The budget is charged |R|^n, as
-    for listing every point, before ``_walk`` builds any span: a refused set
-    is walked for admission only, so it still raises ``reject``'s error
-    first when it is not admissible.
+    raises when the set is not admissible.  The budget is charged base^n,
+    the rows the caller goes on to read, before ``_walk`` builds any span:
+    a refused set is walked for admission only, so it still raises
+    ``reject``'s error first when it is not admissible.
     """
     try:
-        charge_power(ps.ring.order, ps.ambient, budget)
+        charge_power(base, ps.ambient, budget)
     except BudgetExceededError:
         if _walk(ps, k, False) is None:
             reject()
@@ -271,7 +273,7 @@ def _extensions(
     admissible raises InternalError unless ``reject`` says otherwise: the
     search only passes admissible ones.
     """
-    return points(ps.ambient, ps.ring, _blocked(ps, k, budget, reject))
+    return points(ps.ambient, ps.ring, _blocked(ps, k, ps.ring.order, budget, reject))
 
 
 # The queries below walk the set once with ``_walk`` and read both the
@@ -290,17 +292,17 @@ def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     return _extensions(ps, 3, budget, _CAP.reject)
 
 
-def _covered(n: int, comp: LocalRing, keys: set[tuple[int, ...]]) -> bool:
-    """Every canonical row of Z_{p^s}^n has its residue key in ``keys``.
+def _covered(n: int, p: int, keys: set[tuple[int, ...]]) -> bool:
+    """Every canonical row of F_p^n is in ``keys``.
 
-    The rows are taken lazily from ``shapes``, and the scan stops at the
-    first row that is left unblocked.  It reads fewer rows than the |R|^n
-    that ``_blocked`` charged.
+    Then so is the residue key of every canonical row of Z_{p^s}^n, each a
+    twin of one of these (``_search_max``).  The (p^n - 1)/(p - 1) rows,
+    fewer than the p^n that ``_is_complete`` charged, are taken lazily from
+    ``shapes``, and the scan stops at the first one left unblocked.
     """
-    p = comp.prime
     return all(
-        tuple([x % p for x in row]) in keys
-        for _, (shape,) in shapes(1, n, comp)
+        row in keys
+        for _, (shape,) in shapes(1, n, LocalRing(p, 1))
         for row in itertools.product(*shape)
     )
 
@@ -309,14 +311,16 @@ def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
     """Whether no point extends the set, by two routes that must agree.
 
     Both read the keys of one ``_blocked`` call and build no point, no
-    projection included; the cross-check compares a scan of canonical ring
+    projection included; the cross-check compares a scan of canonical field
     rows (``_covered``) with a count of field points (module docstring).
+    The largest p^n is charged, the most rows one scan reads.
     """
     kind.check_ambient(ps.ambient)
     n = ps.ambient
-    blocked = _blocked(ps, kind.size(n), budget, kind.reject)
     comps = ps.ring.components
-    direct = any(_covered(n, c, keys) for c, keys in zip(comps, blocked))
+    base = max(c.prime for c in comps)
+    blocked = _blocked(ps, kind.size(n), base, budget, kind.reject)
+    direct = any(_covered(n, c.prime, keys) for c, keys in zip(comps, blocked))
     by_projection = any(
         len(keys) == (c.prime**n - 1) // (c.prime - 1) for c, keys in zip(comps, blocked)
     )

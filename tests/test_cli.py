@@ -440,6 +440,17 @@ class TestSingularCommands:
         assert {"m": 1, "t": 1, "count": "1"} in doc["census"]
         assert doc["untyped"] == "1"
 
+    def test_refused_census_builds_nothing(self, capsys, monkeypatch):
+        """Every level is charged before any is built: the lines of Z2^11
+        fit the default budget, its planes do not."""
+
+        def build(*args, **kwargs):
+            raise AssertionError("built before the budget was charged")
+
+        monkeypatch.setattr(oracle, "subspaces", build)
+        argv = ["singular", "enumerate", "--ring", "Z2", "-n", "11", "-k", "0"]
+        assert run(capsys, argv) == (1, "", "error: enumeration budget exhausted\n")
+
     def test_enumerate_specific_type(self, capsys):
         doc = run_json(
             capsys,
@@ -484,6 +495,14 @@ class TestGeometryCommands:
             ["arc", "complete", "--ring", "Z4", "--points", "[[1,0],[0,1],[1,1]]"],
         )
         assert doc == {"complete": True}
+
+    def test_searched_deep_arc_is_complete(self, capsys):
+        """The arc ``arc search`` prints for Z1048576^3 passes ``arc
+        complete`` under the default budget: completeness charges the
+        residue field's 2^3, not |R|^3 = 2^60."""
+        points = "[[0,0,1],[0,1,0],[1,0,0],[1,1,1]]"
+        argv = ["arc", "complete", "--ring", "Z1048576", "-n", "3", "--points", points]
+        assert run_json(capsys, argv) == {"complete": True}
 
     def test_arc_extend(self, capsys):
         doc = run_json(

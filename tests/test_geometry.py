@@ -428,12 +428,15 @@ def test_queries_list_no_points(monkeypatch, z6):
     "kind,spec,n", [("arc", "Z4", 3), ("cap", "Z6", 3), ("arc", "Z2xZ3", 2), ("cap", "Z9", 3)]
 )
 def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
-    """extend and complete charge |R|^n units before any other work, and the
-    search |F|^n, F the product of R's residue fields: one unit less
-    raises and the charge passes, on full, half and empty sets.  Over Z4^3
-    the search charges 8, not 64, and over Z9^3 27, not 729."""
+    """Before any other work, extend charges |R|^n units, complete the
+    largest residue field's p^n, and the search |F|^n, F the product of R's
+    residue fields: one unit less raises and the charge passes, on full,
+    half and empty sets.  Over Z4^3 complete and the search charge 8, not
+    64; over Z9^3 27, not 729; over Z2xZ3^2 complete charges 9, the search
+    36."""
     ring = parse_ring(spec)
     size = ring.order**n
+    largest_field = max(c.prime for c in ring.components) ** n
     field_size = math.prod(c.prime for c in ring.components) ** n
     search = getattr(geometry, f"search_max_{kind}")
     extend = getattr(geometry, f"extend_{kind}")
@@ -442,13 +445,13 @@ def test_budget_charges_every_point_first(monkeypatch, kind, spec, n):
     for pts in (full, full[: len(full) // 2], ()):
         ps = PointSet.of(ring, n, pts)
         assert extend(ps, size) == extend(ps)
-        assert complete(ps, size) == (len(pts) == len(full))
+        assert complete(ps, largest_field) == (len(pts) == len(full))
         with monkeypatch.context() as m:
             # no span may be marked before the budget raises
             m.setattr(zps, "span_points_mod_p", None)
-            for query in (extend, complete):
+            for query, charged in ((extend, size), (complete, largest_field)):
                 with pytest.raises(BudgetExceededError, match="^enumeration budget"):
-                    query(ps, size - 1)
+                    query(ps, charged - 1)
     with pytest.raises(BudgetExceededError, match="^enumeration budget"):
         search(n, ring, field_size - 1)
 
@@ -560,7 +563,7 @@ def _points_route(ps, kind):
     """``is_complete_*`` as it was: both routes list the kept points, over
     the ring and over each residue field, and test the lists for emptiness."""
     n = ps.ambient
-    blocked = geometry._blocked(ps, kind.size(n), 10**9, kind.reject)
+    blocked = geometry._blocked(ps, kind.size(n), ps.ring.order, 10**9, kind.reject)
     direct = not subspace.points(n, ps.ring, blocked)
     by_projection = any(
         not subspace.points(n, project_point_set(ps, i).ring, [keys])
@@ -672,7 +675,7 @@ class TestSearch:
             ("Z35", 3, 6), ("Z13", 3, 14), ("Z10", 4, 5), ("Z15", 4, 5),
             ("Z21", 4, 5), ("Z21", 5, 6), ("Z7", 6, 8), ("Z25", 3, 6),
             # the search charges |F|^n: 2^3, not |R|^n = 2^60, for Z1048576^3
-            ("Z49", 3, 8), ("Z5xZ25", 4, 6), ("Z1048576", 3, 4),
+            ("Z49", 3, 8), ("Z5xZ25", 4, 6), ("Z1048576", 3, 4), ("Z35", 4, 6),
         ],
     )
     def test_max_arc(self, spec, n, size):
@@ -680,10 +683,9 @@ class TestSearch:
         ps = search_max_arc(n, ring)
         assert len(ps.points) == size
         assert is_arc(ps)
-        # completeness charges |R|^n: past the default budget for Z21^5,
-        # past the search's too for Z5xZ25^4 and Z1048576^3
-        if ring.order**n <= geometry.SEARCH_BUDGET:
-            assert is_complete_arc(ps, geometry.SEARCH_BUDGET)
+        # completeness charges the largest p^n, so it fits the default
+        # budget where |R|^n does not: Z21^5, Z35^4, Z5xZ25^4, Z1048576^3
+        assert is_complete_arc(ps)
         assert len(ps.points) == max_arc_size_formula(n, ring)
         _assert_lifts_field_search("arc", n, ring, ps)
 
@@ -699,8 +701,7 @@ class TestSearch:
         ps = search_max_cap(n, ring)
         assert len(ps.points) == size
         assert is_cap(ps)
-        # the |R|^n charge of Z5xZ25^3 is past the default budget
-        assert is_complete_cap(ps, geometry.SEARCH_BUDGET)
+        assert is_complete_cap(ps)
         assert len(ps.points) == max_cap_size_formula(n, ring)
         _assert_lifts_field_search("cap", n, ring, ps)
 

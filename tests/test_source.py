@@ -91,14 +91,19 @@ def test_enumerators_stand_without_the_formulas():
         or (module == "ringspace" and "counting" in names)
     ]
     oracle = ast.parse((pkg / "oracle.py").read_text())
+    checked = {
+        "enumerate_subspaces", "enumerate_mt_subspaces", "enumerate_points",
+        "_charge_subspaces",
+    }
+    # a renamed function would drop out of the check unnoticed
+    assert checked <= {
+        node.name for node in oracle.body if isinstance(node, ast.FunctionDef)
+    }
     found += [
         (node.name, name)
         for node in oracle.body
         if isinstance(node, ast.FunctionDef)
-        and node.name in (
-            "enumerate_subspaces", "enumerate_mt_subspaces", "enumerate_points",
-            "_charge_levels",
-        )
+        and node.name in checked
         for sub in ast.walk(node)
         for name in [getattr(sub, "id", None) or getattr(sub, "attr", None)]
         if name in formulas

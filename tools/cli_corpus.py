@@ -37,7 +37,9 @@ The sections:
   Z3, Z4, Z5, Z6, Z7, Z9, Z10, Z11, Z12, Z13, Z15, Z21, Z35 and Z2xZ9;
 - ``search``: ``arc|cap search`` over rings with a non-field component,
   whose points are those of the search over the residue fields, and the
-  budget that just fits and just refuses its ``|F|^n`` charge.
+  budget that just fits and just refuses its ``|F|^n`` charge; each search
+  that answers is followed by ``complete`` on the set it prints, with the
+  same options.
 
 It takes about 45 seconds on one core.
 """
@@ -198,9 +200,21 @@ SEARCH = [
     "cap search -n 5 --ring Z4",
     "arc search -n 3 --ring Z49",
     "arc search -n 3 --ring Z1048576",
+    "arc search -n 5 --ring Z21",
     "arc search -n 3 --ring Z4 --budget 7",
     "arc search -n 3 --ring Z4 --budget 8",
 ]
+
+
+def search_calls():
+    for line in SEARCH:
+        argv = line.split(" ")
+        yield argv
+        code, out, _ = run(argv)
+        if code == 0:
+            kind, _, *options = argv
+            points = json.dumps(json.loads(out)["points"])
+            yield [kind, "complete", *options, "--points", points]
 
 
 def max_calls():
@@ -219,7 +233,7 @@ SECTIONS = {
     "geometry": geometry_calls,
     "transforms": transforms_calls,
     "max": max_calls,
-    "search": lambda: (line.split(" ") for line in SEARCH),
+    "search": search_calls,
 }
 
 
