@@ -229,12 +229,10 @@ def _cmd_singular_enumerate(args):
             "subspaces": [serialize.subspace_to_json(s) for s in found],
         }, 0
     space = singular.SingularSpace(ring, args.n, args.k)
-    # every level is charged before any is built, so a refused census builds nothing
-    for m in range(space.ambient + 1):
-        oracle._charge_subspaces(m, space.ambient, ring, budget)
     census: dict[tuple[int, int], int] = {}
     untyped = 0
-    for m in range(space.ambient + 1):
+    # the top level is charged the most, so a refused census builds nothing
+    for m in reversed(range(space.ambient + 1)):
         for sub in oracle.enumerate_subspaces(m, space.ambient, ring, budget):
             tp = singular.type_of(sub, space)
             if tp.typed:

@@ -48,8 +48,9 @@ component projection is complete over its field.  A projection holds the
 set's residue rows, so it blocks the same keys as the set does in that
 component, and it is complete when those keys, each a normalised point of
 PG(n-1, p), number all (p^n - 1)/(p - 1) of them; so this route counts the
-keys and builds no projection (``project_point_set``).  What the two routes check against each other is
-a scan of canonical field rows against a count of blocked keys.
+keys and builds no projection (``project_point_set``).  What the two
+routes check against each other is a scan of canonical field rows against
+a count of blocked keys.
 
 Maximum sizes are the least over R's residue fields.  Admissibility reads
 residue keys only, and every subset of an admissible set is admissible:
@@ -292,8 +293,8 @@ def extend_cap(ps: PointSet, budget: int = DEFAULT_BUDGET) -> list[Subspace]:
     return _extensions(ps, 3, budget, _CAP.reject)
 
 
-def _covered(n: int, p: int, keys: set[tuple[int, ...]]) -> bool:
-    """Every canonical row of F_p^n is in ``keys``.
+def _covered(n: int, field: LocalRing, keys: set[tuple[int, ...]]) -> bool:
+    """Every canonical row of F_p^n, F_p the residue ``field``, is in ``keys``.
 
     Then so is the residue key of every canonical row of Z_{p^s}^n, each a
     twin of one of these (``_search_max``).  The (p^n - 1)/(p - 1) rows,
@@ -302,7 +303,7 @@ def _covered(n: int, p: int, keys: set[tuple[int, ...]]) -> bool:
     """
     return all(
         row in keys
-        for _, (shape,) in shapes(1, n, LocalRing(p, 1))
+        for _, (shape,) in shapes(1, n, field)
         for row in itertools.product(*shape)
     )
 
@@ -317,12 +318,12 @@ def _is_complete(ps: PointSet, kind: _Kind, budget: int) -> bool:
     """
     kind.check_ambient(ps.ambient)
     n = ps.ambient
-    comps = ps.ring.components
-    base = max(c.prime for c in comps)
-    blocked = _blocked(ps, kind.size(n), base, budget, kind.reject)
-    direct = any(_covered(n, c.prime, keys) for c, keys in zip(comps, blocked))
+    fields = _residue_fields(ps.ring.components).components
+    largest = max(f.prime for f in fields)
+    blocked = _blocked(ps, kind.size(n), largest, budget, kind.reject)
+    direct = any(_covered(n, f, keys) for f, keys in zip(fields, blocked))
     by_projection = any(
-        len(keys) == (c.prime**n - 1) // (c.prime - 1) for c, keys in zip(comps, blocked)
+        len(keys) == (f.prime**n - 1) // (f.prime - 1) for f, keys in zip(fields, blocked)
     )
     if direct != by_projection:
         raise InternalError("completeness criteria disagree; this is a bug")

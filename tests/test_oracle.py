@@ -36,8 +36,7 @@ def _extend_and_dedup_levels(n, ring):
 
     Yields the sorted list of m-subspaces for m = 0, 1, ..., n, and stops
     with None at the first m whose (parent, point) pairs, counted over all
-    levels so far, exceed the default budget: the reference's own work,
-    which past there is too slow for a test.
+    levels so far, exceed the default budget: there the enumerator must raise.
     """
     points = enumerate_points(n, ring)
     level = [Subspace.zero(ring, n)]
@@ -125,10 +124,10 @@ class TestSubspaceEnumeration:
         assert len(enumerate_subspaces(3, 2, z4)) == 0
 
     def test_budget_counts_every_parent_point_pair(self, z4):
-        # Z4^2 is charged |R|^2 = 16, then its one 2-subspace
-        assert len(enumerate_subspaces(2, 2, z4, budget=16)) == 1
+        # Z4^2 has 6 points: 1 x 6 pairs at m = 1, then 6 x 6 at m = 2
+        assert len(enumerate_subspaces(2, 2, z4, budget=42)) == 1
         with pytest.raises(BudgetExceededError):
-            enumerate_subspaces(2, 2, z4, budget=15)
+            enumerate_subspaces(2, 2, z4, budget=41)
 
     @pytest.mark.parametrize(
         "name,n",
@@ -147,12 +146,9 @@ class TestSubspaceEnumeration:
         ring = parse_ring(name)
         for m, expected in enumerate(_extend_and_dedup_levels(n, ring)):
             if expected is None:
-                # past the reference's work, Z27^3 from m = 2 on, the
-                # enumerator still fits the default budget and answers
                 for m_over in range(m, n + 1):
-                    got = enumerate_subspaces(m_over, n, ring)
-                    assert len(got) == count_subspaces(m_over, n, ring)
-                    assert got == sorted(got, key=lambda s: s.canons)
+                    with pytest.raises(BudgetExceededError):
+                        enumerate_subspaces(m_over, n, ring)
                 break
             got = enumerate_subspaces(m, n, ring)
             assert got == expected
@@ -163,18 +159,28 @@ class TestSubspaceEnumeration:
         [
             ("Z6", 3, 2), ("Z6", 3, 3), ("Z12", 3, 3), ("Z2xZ2", 3, 2),
             ("Z2xZ2", 3, 3), ("Z9", 2, 2), ("Z27", 2, 2),
-            ("Z2", 4, 2), ("Z3", 4, 2), ("Z2xZ2", 4, 2), ("Z6", 4, 2),
         ],
     )
     def test_raise_point_is_the_pair_total(self, name, n, m):
-        # the larger of |R|^n and the m-subspaces built; the count in the
-        # last four cases
+        # the (parent, point) pairs of the levels below m, which here exceed
+        # the |R|^n charged for the points
         ring = parse_ring(name)
-        want = count_subspaces(m, n, ring)
-        charged = max(ring.order**n, want)
-        assert len(enumerate_subspaces(m, n, ring, budget=charged)) == want
+        levels = list(itertools.islice(_extend_and_dedup_levels(n, ring), m))
+        pairs = sum(map(len, levels)) * len(levels[1])
+        assert pairs > ring.order**n
+        found = enumerate_subspaces(m, n, ring, budget=pairs)
+        assert len(found) == count_subspaces(m, n, ring)
         with pytest.raises(BudgetExceededError, match="^enumeration budget"):
-            enumerate_subspaces(m, n, ring, budget=charged - 1)
+            enumerate_subspaces(m, n, ring, budget=pairs - 1)
+
+    @pytest.mark.parametrize("name,n", [("Z2", 4), ("Z4", 3), ("Z6", 3), ("Z2xZ2", 3)])
+    def test_budget_bounds_the_rows_built(self, name, n):
+        """A call the budget passes builds no more rows than the budget."""
+        ring = parse_ring(name)
+        for m in range(1, n + 1):
+            rows = m * len(enumerate_subspaces(m, n, ring))
+            with pytest.raises(BudgetExceededError, match="^enumeration budget"):
+                enumerate_subspaces(m, n, ring, budget=rows - 1)
 
     def test_no_level_charges_nothing(self, z6):
         assert enumerate_subspaces(0, 3, z6, budget=0) == [Subspace.zero(z6, 3)]
@@ -210,8 +216,8 @@ class TestSubspaceEnumeration:
         for module in (oracle, subspace):
             monkeypatch.setattr(module, "points", build, raising=False)
             monkeypatch.setattr(module, "subspaces", build, raising=False)
-        # 2^19 fits the default budget, the lines of Z2^19 do not; 6^8 does not
-        for m, n, ring in [(2, 19, z2), (2, 8, z6)]:
+        # 2^19 - 1 points fit the default budget, their pairs do not
+        for m, n, ring in [(2, 19, z2), (3, 4, z6)]:
             with pytest.raises(BudgetExceededError, match="^enumeration budget"):
                 enumerate_subspaces(m, n, ring)
 

@@ -569,12 +569,15 @@ class TestMtShapes:
 
     @pytest.mark.parametrize("spec,n,k", MT_SPACES)
     def test_raise_points(self, spec, n, k):
-        """The budget is charged as for every m-subspace, whatever t is:
-        |R|^(n+k), then the m-subspaces of R^(n+k); nothing for m = 0."""
+        """The budget is charged as for every m-subspace, whatever t is: the
+        older scan's |R|^(n+k) for the points, then its (parent, point)
+        pairs level by level; nothing for m = 0."""
         ring = parse_ring(spec)
+        points = len(enumerate_subspaces(1, n + k, ring))
         for m in range(n + k + 1):
+            levels = sum(len(enumerate_subspaces(j, n + k, ring)) for j in range(m))
+            budget = max(ring.order ** (n + k), levels * points) if m else 0
             everything = enumerate_subspaces(m, n + k, ring)
-            budget = max(ring.order ** (n + k), len(everything)) if m else 0
             assert enumerate_subspaces(m, n + k, ring, budget) == everything
             for t in range(-1, k + 2):
                 want = old_mt_route(m, t, n, k, ring, budget)
